@@ -16,6 +16,11 @@ from urllib.parse import parse_qs, urlsplit
 
 from .api import Response, ServiceApi
 
+#: Largest request body the transport reads.  Study specs are small JSON
+#: documents (the largest registered one is under 2 kB); a longer declared
+#: body is refused with 413 before any of it is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class _ApiHandler(BaseHTTPRequestHandler):
     """Per-connection handler; the server class carries the shared ``api``."""
@@ -35,10 +40,17 @@ class _ApiHandler(BaseHTTPRequestHandler):
     def _handle(self, method: str) -> None:
         split = urlsplit(self.path)
         query = {key: values[-1] for key, values in parse_qs(split.query).items()}
-        body = b""
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > 0:
-            body = self.rfile.read(length)
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        length = int(declared) if declared.isascii() and declared.isdigit() else -1
+        if length < 0 or length > MAX_BODY_BYTES:
+            self.close_connection = True  # the unread body leaves the stream unframed
+            self._write(
+                Response.error(400, "malformed Content-Length header", "BadRequest")
+                if length < 0
+                else Response.error(413, f"request body exceeds {MAX_BODY_BYTES} bytes", "PayloadTooLarge")
+            )
+            return
+        body = self.rfile.read(length) if length else b""
         try:
             response = self.server.api.dispatch(method, split.path, body=body, query=query)
         except Exception as error:  # noqa: BLE001 -- one bad request must not kill the thread
@@ -51,6 +63,8 @@ class _ApiHandler(BaseHTTPRequestHandler):
             self.send_header("Content-Type", response.content_type)
             if response.stream is None:
                 self.send_header("Content-Length", str(len(response.body)))
+                if self.close_connection:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 if response.body:
                     self.wfile.write(response.body)

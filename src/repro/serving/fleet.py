@@ -4,39 +4,40 @@ Production serving is never one engine -- it is a fleet of identical
 replicas behind a routing tier, fed by many tenants whose load breathes
 over the day.  This module scales the single-replica event-horizon
 simulator (:mod:`repro.serving.simulator`) to that setting without
-reintroducing any per-step Python work:
+reintroducing any per-step Python work.  Every replica is a
+:class:`~repro.serving.simulator.ReplicaEngine` -- the same
+:class:`~repro.serving.scheduler.ContinuousBatchingScheduler` plus
+epoch-fused :meth:`~repro.core.stepcost.StepCostModel.decode_run` loop --
+and all replicas share **one** :class:`StepCostModel` per system, so its
+step-cost caches amortize across the whole fleet.
 
-* Every replica is a :class:`~repro.serving.simulator.ReplicaEngine` --
-  the same :class:`~repro.serving.scheduler.ContinuousBatchingScheduler`
-  plus epoch-fused :meth:`~repro.core.stepcost.StepCostModel.decode_run`
-  loop -- and all replicas share **one** :class:`StepCostModel` per system,
-  so its step-cost caches amortize across the whole fleet.
-* **Stateless** routers (round-robin, prefix-affinity) assign the entire
-  trace in one vectorized pass; each replica then drains its partition as
-  an independent single-replica simulation.  This is the fleet's fast path
-  (and what makes an N=1 fleet bit-identical to :class:`ServingSimulator`).
-* **Stateful** routers (least-KV-load, least-queue) need live replica state
-  at each arrival, so the fleet runs an event-horizon loop at cluster
-  level: the next event is the next arrival, and every replica advances to
-  it through epoch-fused decode runs cut at that horizon
+The fleet has exactly two execution paths, chosen from the inputs alone:
+
+* **Partitioned** -- a static fleet (no enabled faults, no autoscaler)
+  behind a stateless router (round-robin, prefix-affinity, whose
+  :meth:`~repro.serving.router.RouterPolicy.assign_batch` returns an index
+  array) assigns the entire trace in one vectorized pass; each replica then
+  drains its partition as an independent single-replica simulation.  This
+  is the fast path, and what makes an N=1 fleet bit-identical to
+  :class:`ServingSimulator`.
+* **Event loop** -- everything else: stateful routers (least-KV-load,
+  least-queue) that need live replica state at each arrival, replica
+  crash/recovery from a :class:`~repro.serving.faults.FaultConfig` (lost
+  requests re-enter the router under a
+  :class:`~repro.serving.faults.RetryPolicy`), and autoscalers
+  (:class:`~repro.serving.faults.QueueDepthAutoscaler` /
+  :class:`~repro.serving.faults.SLOAutoscaler`) that join and drain
+  replicas on rolling windows.  One time-ordered event heap pops arrivals,
+  crashes, recoveries and scaling ticks, and every up replica advances to
+  each event through epoch-fused decode runs cut at that horizon
   (``ReplicaEngine.advance(until=...)``).  The epoch cuts change nothing
-  but grouping, so per-replica results stay exact.
+  but grouping, so per-replica results stay exact, and a fault-free fixed
+  fleet is bit-identical whichever path prices it.
 
 The outcome is a :class:`FleetReport`: per-replica
 :class:`~repro.serving.report.ServingReport` objects plus fleet-level
-latency percentiles, SLO goodput, load imbalance, and dollar cost per
-token via :class:`~repro.cost.tco.TCOModel`.
-
-Fleets can additionally be *failure-aware and elastic*: a
-:class:`~repro.serving.faults.FaultConfig` injects deterministic replica
-crash/recovery events (lost requests re-enter the router under a
-:class:`~repro.serving.faults.RetryPolicy`), and an autoscaler
-(:class:`~repro.serving.faults.QueueDepthAutoscaler` /
-:class:`~repro.serving.faults.SLOAutoscaler`) joins and drains replicas on
-rolling windows.  Both ride one event-heap loop (:meth:`FleetSimulator
-._run_resilient`) layered on the same ``advance(until=...)`` engine core;
-with faults disabled and no autoscaler the original two code paths run
-unchanged, keeping the zero-fault fleet bit-identical to earlier releases.
+latency percentiles, SLO goodput, load imbalance, availability, and dollar
+cost per token via :class:`~repro.cost.tco.TCOModel`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .router import ROUTER_POLICIES, RouterPolicy, get_router
 from .scheduler import SchedulerConfig
 from .simulator import _ARRIVAL_PROBE_STEPS, _MAX_EPOCH_STEPS, ReplicaEngine, ServingSimulator
 
-# Event kinds of the resilient fleet loop, in tie-break priority order at
+# Event kinds of the fleet event loop, in tie-break priority order at
 # equal timestamps: recoveries land before crashes, crashes before scaling
 # decisions, and routing happens last so it sees the settled membership.
 _EVENT_UP = 0
@@ -90,8 +91,7 @@ class FleetConfig:
         arrival_probe_steps: Per-replica probe cap while an admissible
             arrival is pending.
         faults: Optional replica crash/recovery process; ``None`` (or a
-            config with infinite MTBF) keeps the fleet fault-free on the
-            original code paths.
+            config with infinite MTBF) keeps the fleet fault-free.
         retry: What happens to requests a crash evicts (only consulted
             when faults fire).
         autoscaler: Optional elastic-membership controller; ``num_replicas``
@@ -126,11 +126,6 @@ class FleetConfig:
             raise ConfigurationError(
                 "num_replicas must lie inside the autoscaler's [min_replicas, max_replicas] band"
             )
-
-    @property
-    def resilient(self) -> bool:
-        """Whether faults or elasticity force the event-heap loop."""
-        return (self.faults is not None and self.faults.enabled) or self.autoscaler is not None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -256,7 +251,7 @@ class FleetReport:
 
 @dataclasses.dataclass
 class _ResilienceOutcome:
-    """What the resilient loop learned beyond the per-replica reports."""
+    """What a faulty or elastic event loop learned beyond the per-replica reports."""
 
     num_requests: int
     member_times: List[float]
@@ -275,10 +270,13 @@ class _ResilienceOutcome:
 class FleetSimulator:
     """Simulates N identical engine replicas of one model behind a router.
 
-    Every replica shares one :class:`StepCostModel` (pass ``step_cost`` to
-    share it wider, e.g. across the scenarios of a sweep).  ``router``
-    accepts a :class:`RouterPolicy` *instance* to override the configured
-    policy -- the equivalence tests use it to force the interleaved path.
+    A static fleet (faults off, no autoscaler) whose router assigns the
+    whole trace up front runs the partitioned fast path; every other fleet
+    runs the event loop (see the module docstring).  Every replica shares
+    one :class:`StepCostModel` (pass ``step_cost`` to share it wider, e.g.
+    across the scenarios of a sweep).  ``router`` accepts a
+    :class:`RouterPolicy` *instance* to override the configured policy --
+    the equivalence tests use it to force the event loop.
     """
 
     def __init__(
@@ -290,7 +288,6 @@ class FleetSimulator:
         precision: Precision = Precision.FP16,
         step_cost: Optional[StepCostModel] = None,
         tco: Optional[TCOModel] = None,
-        fused: bool = True,
         router: Optional[RouterPolicy] = None,
     ):
         self.system = system
@@ -311,7 +308,6 @@ class FleetSimulator:
             scheduler_config=fleet.scheduler,
             slo=fleet.slo,
             include_lm_head=fleet.include_lm_head,
-            fused=fused,
             max_epoch_steps=fleet.max_epoch_steps,
             arrival_probe_steps=fleet.arrival_probe_steps,
         )
@@ -343,21 +339,17 @@ class FleetSimulator:
         if not requests:
             raise ConfigurationError("fleet simulation needs at least one request")
 
-        if self.fleet.resilient:
-            return self._run_resilient(requests, columns.tenant_ids)
-
-        num_replicas = self.fleet.num_replicas
-        engines = [self.simulator.engine() for _ in range(num_replicas)]
+        fleet = self.fleet
+        num_replicas = fleet.num_replicas
         self.router.reset(num_replicas)
+        static = not (fleet.faults is not None and fleet.faults.enabled) and fleet.autoscaler is None
+        assignment = self.router.assign_batch(columns, num_replicas) if static else None
+        if assignment is None:
+            return self._run_events(requests, columns.tenant_ids)
 
-        assignment = self.router.assign_batch(columns, num_replicas)
-        if assignment is not None:
-            self._run_partitioned(engines, requests, np.asarray(assignment))
-        else:
-            self._run_interleaved(engines, requests, columns.tenant_ids)
-
-        replica_reports = [self.simulator.report(engine) for engine in engines]
-        return self._aggregate(replica_reports)
+        engines = [self.simulator.engine() for _ in range(num_replicas)]
+        self._run_partitioned(engines, requests, np.asarray(assignment))
+        return self._aggregate([self.simulator.report(engine) for engine in engines])
 
     # -- execution paths ----------------------------------------------------------------
 
@@ -372,37 +364,19 @@ class FleetSimulator:
         for engine in engines:
             engine.advance()
 
-    def _run_interleaved(
-        self, engines: List[ReplicaEngine], requests: List[Request], tenant_ids: np.ndarray
-    ) -> None:
-        """Stateful-router path: cluster-level event-horizon loop.
-
-        For each arrival (the fleet's next event), every replica advances to
-        the arrival time through fused epochs cut at that horizon, the router
-        inspects the resulting replica states, and the request lands on the
-        chosen replica.  A final unbounded advance drains the fleet.
-        """
-        tenants = tenant_ids.tolist()
-        for index, request in enumerate(requests):
-            horizon = request.arrival_time
-            for engine in engines:
-                engine.advance(until=horizon)
-            replica = self.router.select(request, tenants[index], engines)
-            engines[replica].submit(request)
-        for engine in engines:
-            engine.advance()
-
-    def _run_resilient(self, requests: List[Request], tenant_ids: np.ndarray) -> FleetReport:
-        """Failure-aware / elastic path: one event heap over the whole fleet.
+    def _run_events(self, requests: List[Request], tenant_ids: np.ndarray) -> FleetReport:
+        """Event loop: one time-ordered heap over the whole fleet.
 
         Events (arrivals and retries, replica crashes and recoveries,
         autoscaler ticks) pop in time order; every up replica advances to
-        each event's horizon through the same fused-epoch
-        ``advance(until=...)`` core the stateful-router path uses, so the
-        pricing of the surviving work is unchanged.  A crash evacuates the
-        replica (:meth:`ReplicaEngine.fail`) and its requests re-enter the
-        router under the retry policy; a drain (autoscaler scale-down)
-        merely stops new routing and lets the replica finish its queue.
+        each event's horizon through fused epochs cut there
+        (``advance(until=...)``), and the router then inspects the settled
+        replica states -- which is what stateful routers need, and why a
+        fault-free fixed fleet prices exactly as if partitioned.  A crash
+        evacuates the replica (:meth:`ReplicaEngine.fail`) and its requests
+        re-enter the router under the retry policy; a drain (autoscaler
+        scale-down) merely stops new routing and lets the replica finish its
+        queue.
         """
         fleet = self.fleet
         faults = fleet.faults if fleet.faults is not None and fleet.faults.enabled else None
@@ -505,7 +479,6 @@ class FleetSimulator:
         for slot in range(fleet.num_replicas):
             join(slot, 0.0)
         peak = fleet.num_replicas
-        self.router.reset(fleet.num_replicas)
 
         if faults:
             for slot in range(max_slots):
@@ -610,6 +583,10 @@ class FleetSimulator:
 
         report_slots = [slot for slot in range(max_slots) if engines[slot] is not None]
         replica_reports = [self.simulator.report(engines[slot]) for slot in report_slots]
+        if faults is None and scaler is None:
+            # Fixed membership: _aggregate bills num_replicas * makespan, which
+            # summing N equal member times would miss by an ulp once N >= 6.
+            return self._aggregate(replica_reports)
         total_member = sum(member_time[slot] for slot in report_slots)
         total_down = sum(down_time[slot] for slot in report_slots)
         outcome = _ResilienceOutcome(
@@ -668,11 +645,11 @@ class FleetSimulator:
     ) -> FleetReport:
         """Pool per-replica reports into the fleet view.
 
-        With a :class:`_ResilienceOutcome` the pooled TTFT/queue metrics are
-        re-based to each request's *original* arrival (retry backoff shows
-        up as queue delay) and device time bills actual membership instead
-        of ``num_replicas * makespan``; without one the computation is
-        bit-identical to the pre-fault fleet.
+        With a :class:`_ResilienceOutcome` (faulty or elastic fleets) the
+        pooled TTFT/queue metrics are re-based to each request's *original*
+        arrival (retry backoff shows up as queue delay) and device time bills
+        actual membership; without one the fleet is fixed and fault-free and
+        bills ``num_replicas * makespan``.
         """
         fleet = self.fleet
         makespan = max(report.simulated_time for report in replica_reports)

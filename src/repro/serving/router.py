@@ -6,16 +6,18 @@ Policies come in two strengths:
 * **Stateless** policies (round-robin, prefix-affinity) depend only on the
   request's position or tenant, never on replica state.  They implement
   :meth:`RouterPolicy.assign_batch`, which maps a whole trace's columns to a
-  replica index array in one NumPy pass -- the fleet simulator then runs
-  each replica's partition as an independent drain, with no interleaving.
+  replica index array in one NumPy pass -- on a static fleet (no faults, no
+  autoscaler) the fleet simulator then runs each replica's partition as an
+  independent drain: the partitioned fast path.
 * **Stateful** policies (least-KV-load, least-queue) inspect live replica
-  state, so the fleet must advance every replica to each arrival before
-  asking :meth:`RouterPolicy.select`.  ``assign_batch`` returns ``None`` to
-  request that interleaved path.
+  state, so ``assign_batch`` returns ``None`` and the fleet runs its event
+  loop, advancing every replica to each arrival before asking
+  :meth:`RouterPolicy.select`.
 
-Every policy implements :meth:`select` (the one-at-a-time form), so the
-interleaved path works for all of them -- the equivalence between the two
-paths for stateless policies is pinned in ``tests/serving/test_fleet.py``.
+Every policy implements :meth:`select` (the one-at-a-time form), because
+faulty and elastic fleets route every policy through the event loop -- the
+equivalence between the two paths for stateless policies is pinned in
+``tests/serving/test_fleet.py``.
 Ties in the stateful policies break on replica index, keeping the whole
 fleet simulation deterministic.
 """

@@ -741,10 +741,10 @@ def fleet_resilience(
 
     ``mtbf_s`` sweeps the per-replica mean time between failures, with the
     sentinel ``0`` meaning *faults disabled* (the baseline row every other
-    point is compared against -- it runs the exact non-resilient fleet
-    path).  ``router`` varies how lost requests are re-spread, and
-    ``retry_max_attempts`` prices how much re-prefill work the retry policy
-    is willing to buy before declaring a request failed.
+    point is compared against -- a static fleet, priced exactly as if no
+    fault machinery existed).  ``router`` varies how lost requests are
+    re-spread, and ``retry_max_attempts`` prices how much re-prefill work the
+    retry policy is willing to buy before declaring a request failed.
     """
     system = build_system(
         gpu,

@@ -1,10 +1,12 @@
-"""One real-socket smoke test: the stdlib HTTP transport end to end.
+"""Real-socket smoke tests: the stdlib HTTP transport end to end.
 
 Everything route-level lives in ``test_api.py`` against the fakes; this file
 only proves the socket adapter works -- bind, submit over HTTP, stream the
-NDJSON events, fetch the CSV, shut down cleanly.
+NDJSON events, fetch the CSV, shut down cleanly -- and that it frames
+request bodies safely (bad or oversized ``Content-Length``).
 """
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -12,6 +14,7 @@ import urllib.request
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.service import (
     InMemoryJobStore,
     ServiceApi,
@@ -19,7 +22,8 @@ from repro.service import (
     StudyService,
     make_server,
 )
-from repro.studies import Study
+from repro.service.http import MAX_BODY_BYTES
+from repro.studies import Study, get_study, list_studies
 from repro.sweep import SweepRunner
 
 SPEC = {
@@ -99,3 +103,51 @@ def test_submit_stream_fetch_over_real_sockets(live_server):
         _post(f"{base}/studies", bad)
     assert failure.value.code == 422
     assert "no_such_extractor" in json.loads(failure.value.read())["error"]["message"]
+
+
+def _post_declaring(base, content_length):
+    """POST /studies declaring ``content_length`` but sending no body."""
+    host, port = base.removeprefix("http://").split(":")
+    connection = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        connection.putrequest("POST", "/studies")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders()
+        response = connection.getresponse()
+        return response.status, response.getheader("Connection"), json.loads(response.read())
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("content_length", ["abc", "-5", "1.5", "0x10"])
+def test_malformed_content_length_is_a_400(live_server, content_length):
+    base, _ = live_server
+    status, connection, body = _post_declaring(base, content_length)
+    assert status == 400
+    assert connection == "close"
+    assert body["error"]["type"] == "BadRequest"
+    # The handler thread survived and the server still answers.
+    assert _get(f"{base}/healthz")[0] == 200
+
+
+def test_oversized_body_is_refused_unread_with_413(live_server):
+    base, _ = live_server
+    # Nothing past the headers is ever sent: a server that tried to read the
+    # declared body would block until the client times out.
+    status, connection, body = _post_declaring(base, str(MAX_BODY_BYTES + 1))
+    assert status == 413
+    assert connection == "close"
+    assert body["error"]["type"] == "PayloadTooLarge"
+    assert _get(f"{base}/healthz")[0] == 200
+
+
+def test_body_limit_admits_every_registered_study_spec():
+    # The limit is a transport guard, never a cap on legitimate specs.
+    largest = 0
+    for entry in list_studies():
+        try:
+            spec = get_study(entry.name).to_json(indent=1)
+        except ConfigurationError:
+            continue  # studies over ad-hoc systems have no JSON spec to post
+        largest = max(largest, len(spec.encode()))
+    assert 0 < largest < MAX_BODY_BYTES

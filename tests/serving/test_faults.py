@@ -3,8 +3,8 @@
 The two load-bearing invariants:
 
 * **Zero-fault identity** -- a fleet with faults disabled (``faults=None``
-  or ``mtbf=inf``, no autoscaler) produces output bit-identical to the
-  non-resilient fleet path, across every router.
+  or ``mtbf=inf``, no autoscaler) produces output bit-identical to a
+  plain fleet, across every router.
 * **Determinism** -- fault timelines are a pure function of ``(seed, slot)``
   and a faulty fleet run is reproducible from its config alone.
 """

@@ -39,8 +39,8 @@ def fleet_sim(fleet, **kwargs):
 
 
 class StatefulRoundRobin(RoundRobinRouter):
-    """Round-robin with the vectorized fast path disabled: forces the
-    arrival-interleaved cluster loop while keeping the same assignment."""
+    """Round-robin with the vectorized fast path disabled: forces the fleet
+    event loop while keeping the same assignment."""
 
     def assign_batch(self, columns, num_replicas):
         return None
@@ -60,8 +60,8 @@ def test_single_replica_fleet_is_bit_identical_to_serving_simulator():
 
 
 def test_single_replica_bit_identity_holds_for_stateful_routers():
-    # Stateful routers go through the interleaved path, whose until-horizon
-    # epoch cuts must be invisible in the results.
+    # Stateful routers go through the event loop, whose until-horizon epoch
+    # cuts must be invisible in the results.
     trace = small_trace()
     single = ServingSimulator(system=SYSTEM, model=MODEL).run(trace)
     for router in ("least_kv_load", "least_queue"):
@@ -85,15 +85,20 @@ def test_round_robin_fleet_equals_independent_partitioned_runs():
         assert report.replicas[replica].to_dict() == independent.to_dict()
 
 
-def test_interleaved_path_matches_partitioned_path():
-    # Forcing round-robin through the stateful (interleaved) path must give
-    # the exact same fleet report as the vectorized partitioned path.
-    trace = small_trace(num_requests=30)
-    for num_replicas in (1, 2, 3):
-        config = FleetConfig(trace=trace, num_replicas=num_replicas)
-        fast = fleet_sim(config).run()
-        slow = fleet_sim(config, router=StatefulRoundRobin()).run()
-        assert fast.to_dict() == slow.to_dict(), num_replicas
+def test_event_loop_matches_partitioned_path():
+    # Forcing round-robin through the event loop must give the exact same
+    # fleet report as the vectorized partitioned path.  From 6 replicas on,
+    # summing N equal per-replica member times drifts from N * makespan by
+    # an ulp for many makespans, so a fixed fleet must keep the
+    # N * makespan device-time bill on both paths.  Seed 5's makespan
+    # drifts at 6 replicas, seed 2's at both 6 and 8.
+    for seed in (5, 2):
+        trace = small_trace(num_requests=30, seed=seed)
+        for num_replicas in (1, 2, 3, 6, 8):
+            config = FleetConfig(trace=trace, num_replicas=num_replicas)
+            fast = fleet_sim(config).run()
+            slow = fleet_sim(config, router=StatefulRoundRobin()).run()
+            assert fast.to_dict() == slow.to_dict(), (seed, num_replicas)
 
 
 # -- routing policies -------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Property-based tests (hypothesis) for the core analytical invariants."""
+"""Property-based tests (hypothesis) for the core analytical invariants
+and the fleet serving simulator."""
 
 from __future__ import annotations
 
@@ -7,14 +8,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.comm.collectives import ring_all_reduce_time, tree_all_reduce_time
+from repro.core.stepcost import StepCostModel
 from repro.hardware.accelerator import get_accelerator
+from repro.hardware.cluster import build_system
 from repro.hardware.datatypes import Precision
 from repro.memmodel.activations import ActivationModel, RecomputeStrategy
-from repro.memmodel.footprint import kv_cache_bytes
+from repro.memmodel.footprint import kv_cache_bytes, model_weight_bytes
 from repro.models.transformer import TransformerConfig
+from repro.models.zoo import get_model
 from repro.perf.gemm import GemmTimeModel
 from repro.perf.roofline import BoundType, classify, roofline_time
 from repro.perf.tiling import compulsory_traffic, traffic_through_level
+from repro.serving import (
+    ROUTER_POLICIES,
+    FleetConfig,
+    FleetSimulator,
+    LengthDistribution,
+    RoundRobinRouter,
+    SchedulerConfig,
+    ServingSimulator,
+    TraceConfig,
+)
 from repro.workload.operators import GEMM
 from repro.workload.transformer_layer import LayerExecutionSpec, TransformerLayerBuilder
 
@@ -241,3 +255,81 @@ def test_decode_gemm_time_monotonic_in_kv_length(kv_len):
     short_time = sum(GEMM_MODEL.time(g) for g in TransformerLayerBuilder(short_spec).forward_gemms())
     long_time = sum(GEMM_MODEL.time(g) for g in TransformerLayerBuilder(long_spec).forward_gemms())
     assert long_time >= short_time - 1e-12
+
+
+# -- fleet serving properties --------------------------------------------------------------
+
+FLEET_SYSTEM = build_system("A100", num_devices=8, intra_node="NVLink3", inter_node="HDR-IB")
+FLEET_MODEL = get_model("Llama2-7B")
+# One pricing layer for every example: its caches are exact, and sharing them
+# keeps each hypothesis example to the simulation work itself.
+FLEET_STEP_COST = StepCostModel(system=FLEET_SYSTEM)
+# Room for ~400 tokens of KV on top of the weights: the longest prompts are
+# rejected outright and shorter ones queue behind retirements.
+TIGHT_SCHEDULER = SchedulerConfig(
+    memory_capacity_bytes=model_weight_bytes(FLEET_MODEL) + kv_cache_bytes(FLEET_MODEL, 1, 400),
+    memory_headroom=0.0,
+)
+
+fleet_seeds = st.integers(min_value=0, max_value=2**31 - 1)
+fleet_rates = st.floats(min_value=0.5, max_value=50.0, allow_nan=False, allow_infinity=False)
+fleet_replicas = st.integers(min_value=1, max_value=8)
+fleet_routers = st.sampled_from(sorted(ROUTER_POLICIES))
+
+
+class _EventLoopRoundRobin(RoundRobinRouter):
+    """Round-robin without its vectorized assignment: runs the event loop."""
+
+    def assign_batch(self, columns, num_replicas):
+        return None
+
+
+def _fleet_trace(seed: int, rate: float) -> TraceConfig:
+    return TraceConfig(
+        rate=rate,
+        num_requests=16,
+        prompt_lengths=LengthDistribution.uniform(16, 512),
+        output_lengths=LengthDistribution.uniform(1, 48),
+        seed=seed,
+    )
+
+
+def _fleet(config: FleetConfig, router=None) -> FleetSimulator:
+    return FleetSimulator(
+        system=FLEET_SYSTEM, model=FLEET_MODEL, fleet=config, step_cost=FLEET_STEP_COST, router=router
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=fleet_seeds, rate=fleet_rates, replicas=fleet_replicas, router=fleet_routers)
+def test_fault_free_fleet_settles_every_request(seed, rate, replicas, router):
+    config = FleetConfig(
+        trace=_fleet_trace(seed, rate), num_replicas=replicas, router=router, scheduler=TIGHT_SCHEDULER
+    )
+    report = _fleet(config).run()
+    assert report.num_requests == 16
+    assert report.completed_requests + report.rejected_requests == report.num_requests
+    assert report.failed_requests == report.retried_requests == 0
+    assert len(report.replicas) == replicas
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=fleet_seeds, rate=fleet_rates)
+def test_single_replica_fleet_equals_serving_simulator_for_every_router(seed, rate):
+    trace = _fleet_trace(seed, rate)
+    single = ServingSimulator(
+        system=FLEET_SYSTEM, model=FLEET_MODEL, step_cost=FLEET_STEP_COST, scheduler_config=TIGHT_SCHEDULER
+    ).run(trace)
+    for router in sorted(ROUTER_POLICIES):
+        config = FleetConfig(trace=trace, num_replicas=1, router=router, scheduler=TIGHT_SCHEDULER)
+        report = _fleet(config).run()
+        assert report.replicas[0].to_dict() == single.to_dict(), router
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=fleet_seeds, rate=fleet_rates, replicas=fleet_replicas)
+def test_event_loop_round_robin_equals_partitioned_round_robin(seed, rate, replicas):
+    config = FleetConfig(trace=_fleet_trace(seed, rate), num_replicas=replicas, scheduler=TIGHT_SCHEDULER)
+    partitioned = _fleet(config).run()
+    event_loop = _fleet(config, router=_EventLoopRoundRobin()).run()
+    assert event_loop.to_dict() == partitioned.to_dict()
