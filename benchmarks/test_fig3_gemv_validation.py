@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import fig3_gemv_validation
 from repro.analysis.formatting import render_table
+from repro.calibration.gemv import run_gemv_validation
 
 
 def test_fig3_gemv_validation(benchmark):
-    result = run_once(benchmark, fig3_gemv_validation)
+    result = run_once(benchmark, run_gemv_validation)
 
     emit(
         render_table(

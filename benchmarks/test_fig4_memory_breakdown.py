@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import fig4_memory_breakdown
 from repro.analysis.formatting import render_table
+from repro.studies import get_study
 
 
 def test_fig4_memory_breakdown(benchmark):
-    rows = run_once(benchmark, fig4_memory_breakdown)
+    rows = run_once(benchmark, lambda: get_study("fig4_memory_breakdown").run())
 
     emit(
         render_table(

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import fig5_gpu_generation_scaling
 from repro.analysis.formatting import render_table
+from repro.studies import get_study
 from repro.validation.reference import GPU_GENERATION_SPEEDUP_CLAIMS
 
 
 def test_fig5_gpu_generation_scaling(benchmark):
-    rows = run_once(benchmark, fig5_gpu_generation_scaling)
+    rows = run_once(benchmark, lambda: get_study("fig5_gpu_generation_scaling").run())
 
     emit(
         render_table(

@@ -14,12 +14,12 @@ import collections
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import fig6_technology_node_scaling
 from repro.analysis.formatting import render_table
+from repro.studies import get_study
 
 
 def test_fig6_technology_node_scaling(benchmark):
-    rows = run_once(benchmark, fig6_technology_node_scaling)
+    rows = run_once(benchmark, lambda: get_study("fig6_technology_node_scaling").run())
 
     table_rows = [
         {

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import fig7_bound_breakdown
 from repro.analysis.formatting import render_table
+from repro.studies import get_study
 
 _COMBINATIONS = [
     {"dram": "HBM2", "network": "NDR-x8"},
@@ -22,7 +22,7 @@ _COMBINATIONS = [
 
 
 def test_fig7_bound_breakdown(benchmark):
-    rows = run_once(benchmark, fig7_bound_breakdown, combinations=_COMBINATIONS)
+    rows = run_once(benchmark, lambda: get_study("fig7_bound_breakdown", combinations=_COMBINATIONS).run())
 
     emit(
         render_table(

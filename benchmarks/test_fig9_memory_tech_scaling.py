@@ -13,14 +13,20 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import fig9_memory_technology_scaling
 from repro.analysis.formatting import render_table
+from repro.studies import get_study
+from repro.studies.paper import h100_reference_latency
+
+
+def _sweep_with_references():
+    """The Fig.-9 sweep plus the H100 latencies drawn as its dashed lines."""
+    rows = get_study("fig9_memory_technology_scaling").run()
+    references = {f"H100x{count}": h100_reference_latency(num_gpus=count) for count in (2, 8)}
+    return rows, references
 
 
 def test_fig9_memory_technology_scaling(benchmark):
-    result = run_once(benchmark, fig9_memory_technology_scaling)
-    rows = result["rows"]
-    references = result["h100_reference_latency_s"]
+    rows, references = run_once(benchmark, _sweep_with_references)
 
     table_rows = [
         {

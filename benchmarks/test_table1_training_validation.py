@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import table1_training_validation
 from repro.analysis.formatting import render_table, summarize_errors
+from repro.studies import get_study
 
 
 def test_table1_training_validation(benchmark):
-    rows = run_once(benchmark, table1_training_validation)
+    rows = run_once(benchmark, lambda: get_study("table1_training_validation").run())
 
     emit(
         render_table(

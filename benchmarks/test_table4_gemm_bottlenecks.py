@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.analysis.experiments import table4_gemm_bottlenecks
 from repro.analysis.formatting import render_table
+from repro.studies import get_study
 
 
 def test_table4_gemm_bottlenecks(benchmark):
-    rows = run_once(benchmark, table4_gemm_bottlenecks)
+    rows = run_once(benchmark, lambda: get_study("table4_gemm_bottlenecks").run())
 
     emit(
         render_table(

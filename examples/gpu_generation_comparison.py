@@ -14,12 +14,12 @@ Run it with ``python examples/gpu_generation_comparison.py``.
 
 from __future__ import annotations
 
-from repro.analysis.experiments import fig5_gpu_generation_scaling
+from repro import get_study
 from repro.analysis.formatting import render_table
 
 
 def main() -> None:
-    rows = fig5_gpu_generation_scaling()
+    rows = get_study("fig5_gpu_generation_scaling").run()
 
     print(render_table(
         rows,

@@ -13,8 +13,8 @@ Workload Analysis of Distributed Large Language Model Training and Inference"
 * :class:`repro.studies.Study` / :func:`repro.studies.get_study` for
   declarative, registry-backed sweeps (every paper table/figure is a
   registered study; ``python -m repro list`` enumerates them),
-* :mod:`repro.dse` for technology-node and memory-technology design-space
-  exploration.
+* :mod:`repro.dse` for design points and the area/power allocation search
+  behind the ``fig6_technology_node_scaling`` study.
 """
 
 from .core.engine import PerformancePredictionEngine

@@ -1,32 +1,10 @@
-"""Experiment drivers (one per paper table/figure) and text-table formatting."""
+"""Text-table formatting for study results."""
 
-from .experiments import (
-    fig3_gemv_validation,
-    fig4_memory_breakdown,
-    fig5_gpu_generation_scaling,
-    fig6_technology_node_scaling,
-    fig7_bound_breakdown,
-    fig8_inference_boundedness,
-    fig9_memory_technology_scaling,
-    table1_training_validation,
-    table2_inference_validation,
-    table4_gemm_bottlenecks,
-)
 from .formatting import format_value, render_breakdown, render_table, summarize_errors
 
 __all__ = [
-    "fig3_gemv_validation",
-    "fig4_memory_breakdown",
-    "fig5_gpu_generation_scaling",
-    "fig6_technology_node_scaling",
-    "fig7_bound_breakdown",
-    "fig8_inference_boundedness",
-    "fig9_memory_technology_scaling",
     "format_value",
     "render_breakdown",
     "render_table",
     "summarize_errors",
-    "table1_training_validation",
-    "table2_inference_validation",
-    "table4_gemm_bottlenecks",
 ]

@@ -1,11 +1,6 @@
-"""Design-space exploration: design points, search, and technology-scaling studies."""
+"""Design-space exploration: design points and the allocation search."""
 
-from .scaling import (
-    h100_reference_latency,
-    inference_memory_scaling_study,
-    technology_node_scaling_study,
-)
-from .search import GradientDescentSearch, SearchResult, optimize_allocation
+from .search import GradientDescentSearch, SearchResult
 from .space import DesignPoint, DesignSpace
 
 __all__ = [
@@ -13,8 +8,4 @@ __all__ = [
     "DesignSpace",
     "GradientDescentSearch",
     "SearchResult",
-    "h100_reference_latency",
-    "inference_memory_scaling_study",
-    "optimize_allocation",
-    "technology_node_scaling_study",
 ]

@@ -11,9 +11,10 @@ the design-space grid as starting points.
 
 Each descent iteration generates every gradient probe (both directions of
 every continuous knob) up front and evaluates the uncached ones in **one**
-batched call when a ``batch_objective`` is supplied -- the scaling studies
-route that call through the sweep runner, which deduplicates probes and
-evaluates the underlying GEMM grids through the vectorized roofline backend.
+batched call when a ``batch_objective`` is supplied -- the Fig.-6 study's
+``optimize_allocation`` routes that call through the sweep runner, which
+deduplicates probes and evaluates the underlying GEMM grids through the
+vectorized roofline backend.
 """
 
 from __future__ import annotations
@@ -240,19 +241,3 @@ class GradientDescentSearch:
             history=tuple(full_history),
         )
 
-
-def optimize_allocation(
-    objective: Objective,
-    space: Optional[DesignSpace] = None,
-    base_point: Optional[DesignPoint] = None,
-    batch_objective: Optional[BatchObjective] = None,
-) -> SearchResult:
-    """Optimize only the continuous allocation knobs around ``base_point``.
-
-    This is the per-technology-node optimization the scaling study performs:
-    for a fixed node / memory / network choice, find the best area/power split.
-    """
-    space = space or DesignSpace()
-    base = base_point or DesignPoint()
-    search = GradientDescentSearch(space, batch_objective=batch_objective)
-    return search.search(objective, starting_points=[base])

@@ -22,16 +22,19 @@ Registered study                            Paper artifact
 ``fleet_resilience``                        beyond the paper: fleet resilience
 ==========================================  ==================================
 
-The thin public drivers in :mod:`repro.analysis.experiments` and
-:mod:`repro.dse.scaling` call these builders and run the result, so the
+Python callers run an artifact the same way the CLI does --
+``get_study("fig6_technology_node_scaling", nodes=("N7",)).run()`` -- so the
 declarations here are the single source of truth for what each artifact
-sweeps.
+sweeps.  The one helper beside them, :func:`h100_reference_latency`, prices
+the H100 dashed lines drawn over Fig. 9.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Dict, Optional, Sequence
 
+from ..errors import ReproError
 from ..hardware.accelerator import get_accelerator
 from ..hardware.cluster import build_system, preset_cluster
 from ..hardware.datatypes import Precision
@@ -305,12 +308,8 @@ FIG6_COMBINATIONS = (
 )
 
 
-@register_study(
-    name="fig6_technology_node_scaling",
-    artifact="Fig. 6",
-    description="GPT-7B training time across logic nodes x HBM x networks",
-)
-def technology_node_scaling(
+@register_study(artifact="Fig. 6", description="GPT-7B training time across logic nodes x HBM x networks")
+def fig6_technology_node_scaling(
     model: "TransformerConfig | str" = "GPT-7B",
     parallelism: Optional[ParallelismConfig] = None,
     global_batch_size: int = 512,
@@ -387,7 +386,7 @@ def technology_node_scaling(
 @register_study(artifact="Fig. 7", description="Compute- vs memory-bound GEMM time per layer across nodes")
 def fig7_bound_breakdown(**kwargs) -> Study:
     """The Fig.-7 view: the Fig.-6 study projected onto bound fractions."""
-    study = technology_node_scaling(**kwargs)
+    study = fig6_technology_node_scaling(**kwargs)
     return Study(
         name="fig7_bound_breakdown",
         kind=study.kind,
@@ -398,6 +397,11 @@ def fig7_bound_breakdown(**kwargs) -> Study:
         derive=tuple(study.derive) + ("bound_fraction_projection",),
         artifact="Fig. 7",
     )
+
+
+# Expose the Fig.-6 parameters so ``get_study`` wraps scalar ``nodes`` (and
+# ``-p nodes=N12``) into a list here too.
+fig7_bound_breakdown.__signature__ = inspect.signature(fig6_technology_node_scaling)
 
 
 def _optimize_point(
@@ -437,8 +441,20 @@ def _optimize_point(
         return runner.evaluate(scenario_for(candidate)).step_time
 
     def probe_objective(candidates) -> Sequence[float]:
-        results = runner.run((scenario_for(candidate) for candidate in candidates), capture_errors=True)
-        return [float("inf") if result.error is not None else result.value.step_time for result in results]
+        # A probe whose allocation leaves no power headroom cannot even be
+        # built; it is infeasible, like a probe whose evaluation fails.
+        costs = [float("inf")] * len(candidates)
+        built = []
+        for index, candidate in enumerate(candidates):
+            try:
+                built.append((index, scenario_for(candidate)))
+            except ReproError:
+                continue
+        results = runner.run((scenario for _, scenario in built), capture_errors=True)
+        for (index, _), result in zip(built, results):
+            if result.error is None:
+                costs[index] = result.value.step_time
+        return costs
 
     search = GradientDescentSearch(
         space, initial_step=0.1, min_step=0.02, max_iterations=15, batch_objective=probe_objective
@@ -480,12 +496,8 @@ def fig8_inference_boundedness(
 # Fig. 9: DRAM technology scaling for inference (the second DSE case study)
 # ---------------------------------------------------------------------------
 
-@register_study(
-    name="fig9_memory_technology_scaling",
-    artifact="Fig. 9",
-    description="Llama2-13B inference latency vs DRAM technology, 2 and 8 GPUs",
-)
-def inference_memory_scaling(
+@register_study(artifact="Fig. 9", description="Llama2-13B inference latency vs DRAM technology, 2 and 8 GPUs")
+def fig9_memory_technology_scaling(
     model: "TransformerConfig | str" = "Llama2-13B",
     gpu_counts: Sequence[int] = (2, 8),
     memory_technologies: Sequence[str] = ("GDDR6", "HBM2", "HBM2E", "HBM3", "HBM3E", "HBMX"),
@@ -556,6 +568,39 @@ def inference_memory_scaling(
         ),
         artifact="Fig. 9",
     )
+
+
+def h100_reference_latency(
+    model: "TransformerConfig | str" = "Llama2-13B",
+    num_gpus: int = 2,
+    batch_size: int = 1,
+    prompt_tokens: int = 200,
+    generated_tokens: int = 200,
+    precision: Precision = Precision.FP16,
+    runner: Optional[SweepRunner] = None,
+) -> float:
+    """The H100-HBM3e reference latency drawn as a dashed line in Fig. 9."""
+    runner = runner or default_runner()
+    system = build_system(
+        "H100",
+        num_devices=num_gpus,
+        intra_node="NVLink4",
+        inter_node="NDR-IB",
+        devices_per_node=8,
+        name=f"H100x{num_gpus}",
+    )
+    report = runner.evaluate(
+        Scenario.inference(
+            system,
+            model,
+            batch_size=batch_size,
+            prompt_tokens=prompt_tokens,
+            generated_tokens=generated_tokens,
+            tensor_parallel=num_gpus,
+            precision=precision,
+        )
+    )
+    return report.total_latency
 
 
 # ---------------------------------------------------------------------------

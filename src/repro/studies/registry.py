@@ -4,8 +4,8 @@ Symmetric to the model zoo and the hardware catalog: a **study builder** is a
 callable returning a fresh :class:`~repro.studies.study.Study`; registering
 it makes the study discoverable by name -- from Python
 (:func:`get_study`), from the CLI (``python -m repro list`` / ``run``), and
-from JSON specs.  Builders take keyword arguments so the analysis-layer shims
-can parameterize them while the registry's defaults reproduce the paper::
+from JSON specs.  Builders take keyword arguments so callers can narrow or
+vary a study while the registry's defaults reproduce the paper::
 
     @register_study(artifact="Table 1", description="training-time validation")
     def table1_training_validation(rows=None):

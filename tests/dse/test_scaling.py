@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.dse.scaling import (
-    h100_reference_latency,
-    inference_memory_scaling_study,
-    technology_node_scaling_study,
-)
 from repro.parallelism.config import ParallelismConfig
+from repro.studies import get_study
+from repro.studies.paper import h100_reference_latency
+from repro.sweep import SweepRunner
 
 # A reduced sweep keeps unit tests quick; the benchmarks run the full sweep.
 _FAST_KWARGS = dict(
@@ -22,7 +20,7 @@ _FAST_KWARGS = dict(
 
 @pytest.fixture(scope="module")
 def node_rows():
-    return technology_node_scaling_study(**_FAST_KWARGS)
+    return get_study("fig6_technology_node_scaling", **_FAST_KWARGS).run()
 
 
 def test_node_scaling_row_count(node_rows):
@@ -66,24 +64,44 @@ def test_node_scaling_breakdown_consistency(node_rows):
 
 
 def test_custom_parallelism_is_respected():
-    rows = technology_node_scaling_study(
+    rows = get_study(
+        "fig6_technology_node_scaling",
         model="GPT-7B",
         parallelism=ParallelismConfig(data_parallel=16, tensor_parallel=4, pipeline_parallel=4, micro_batch_size=1),
         global_batch_size=128,
         num_devices=256,
         nodes=("N7",),
         combinations=[{"dram": "HBM2E", "network": "NDR-x8"}],
-    )
+    ).run()
     assert len(rows) == 1
     assert rows[0].step_time > 0
 
 
+@pytest.mark.parametrize("node", ["N12", "N7", "N1"])
+def test_optimized_allocation_is_no_slower_and_probes_through_the_callers_runner(node):
+    """`optimize_allocation` searches each point's area/power split with the caller's runner.
+
+    At N1 some gradient probes leave no power headroom and cannot be built;
+    they count as infeasible instead of aborting the search.
+    """
+    kwargs = dict(nodes=(node,), combinations=[{"dram": "HBM3", "network": "NDR-x8"}])
+    runner = SweepRunner()
+    optimized = get_study(
+        "fig6_technology_node_scaling", optimize_allocation=True, runner=runner, **kwargs
+    ).run(runner=runner)
+    default = get_study("fig6_technology_node_scaling", **kwargs).run(runner=SweepRunner())
+    assert len(optimized) == len(default) == 1
+    assert optimized[0].step_time <= default[0].step_time
+    assert runner.stats.evaluations > len(optimized)
+
+
 @pytest.fixture(scope="module")
 def memory_rows():
-    return inference_memory_scaling_study(
+    return get_study(
+        "fig9_memory_technology_scaling",
         gpu_counts=(2, 8),
         memory_technologies=("GDDR6", "HBM2E", "HBM3E", "HBMX"),
-    )
+    ).run()
 
 
 def test_memory_scaling_latency_decreases_with_bandwidth(memory_rows):
@@ -127,10 +145,10 @@ def test_h100_reference_latency_reasonable():
 
 
 def test_memory_scaling_study_supports_exact_decode():
-    """The sweep driver threads decode_mode through to the inference engine."""
+    """The Fig.-9 study threads decode_mode through to the inference engine."""
     kwargs = dict(gpu_counts=(2,), memory_technologies=("HBM2E",), extra_points=[])
-    average = inference_memory_scaling_study(**kwargs)
-    exact = inference_memory_scaling_study(decode_mode="exact", **kwargs)
+    average = get_study("fig9_memory_technology_scaling", **kwargs).run()
+    exact = get_study("fig9_memory_technology_scaling", decode_mode="exact", **kwargs).run()
     assert len(average) == len(exact) == 1
     assert exact[0].memory_time != average[0].memory_time
     assert exact[0].total_latency == pytest.approx(average[0].total_latency, rel=0.05)

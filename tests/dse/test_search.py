@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dse.search import EvaluationRecord, GradientDescentSearch, optimize_allocation
+from repro.dse.search import EvaluationRecord, GradientDescentSearch
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.errors import MemoryCapacityError, SearchError
 
@@ -24,6 +24,9 @@ def test_search_finds_known_optimum():
     assert result.best_cost == pytest.approx(1.0, abs=0.02)
     assert result.evaluations > 5
     assert result.history
+    summary = result.summary()
+    assert summary["best_cost"] == result.best_cost
+    assert summary["compute_area_fraction"] == round(result.best_point.compute_area_fraction, 3)
 
 
 def test_search_respects_bounds():
@@ -110,13 +113,6 @@ def test_search_without_starting_points_raises():
     space = DesignSpace(technology_nodes=("N7",), dram_technologies=("HBM2E",), inter_node_networks=("NDR-x8",))
     with pytest.raises(SearchError):
         GradientDescentSearch(space).search(_quadratic_objective(), starting_points=[])
-
-
-def test_optimize_allocation_helper():
-    result = optimize_allocation(_quadratic_objective(optimum_compute=0.6, optimum_l2=0.2))
-    assert result.best_point.compute_area_fraction == pytest.approx(0.6, abs=0.08)
-    summary = result.summary()
-    assert "best_cost" in summary and "compute_area_fraction" in summary
 
 
 def test_batch_objective_probes_once_per_iteration():

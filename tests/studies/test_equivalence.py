@@ -1,10 +1,12 @@
-"""Equivalence pins: the Study-backed drivers reproduce the pre-redesign tables.
+"""Equivalence pins: the registered studies reproduce the pre-redesign tables.
 
-``golden_driver_tables.json`` was generated from the drivers *before* the
-Study redesign (reduced parameterizations, so the pins stay fast).  Each test
-runs today's shim with the same parameters and requires the resulting
-:class:`~repro.sweep.table.SweepTable` to match column-for-column --
-exactly for identity columns, to float precision for metrics.
+``golden_driver_tables.json`` was generated from the per-figure driver
+functions *before* the Study redesign (reduced parameterizations, so the pins
+stay fast); each table is keyed by the name of the function that produced it.
+Each test runs today's registered study with the same parameters and requires
+the resulting :class:`~repro.sweep.table.SweepTable` to match
+column-for-column -- exactly for identity columns, to float precision for
+metrics.
 """
 
 import json
@@ -12,10 +14,10 @@ import pathlib
 
 import pytest
 
-from repro.analysis import experiments as E
-from repro.dse import scaling as S
+from repro.calibration.gemv import run_gemv_validation
 from repro.serving import LengthDistribution
 from repro.studies import get_study
+from repro.studies.extractors import fig7_projection
 from repro.sweep import SweepRunner
 from repro.validation.reference import TABLE1_TRAINING_ROWS, TABLE2_INFERENCE_ROWS
 
@@ -38,32 +40,32 @@ def assert_matches_golden(table, name):
 
 def test_table1_matches_pre_redesign_output():
     assert_matches_golden(
-        E.table1_training_validation(rows=TABLE1_TRAINING_ROWS[:2]), "table1_training_validation"
+        get_study("table1_training_validation", rows=TABLE1_TRAINING_ROWS[:2]).run(), "table1_training_validation"
     )
 
 
 def test_table2_matches_pre_redesign_output():
     rows = [r for r in TABLE2_INFERENCE_ROWS if r.model == "Llama2-13B"][:3]
-    assert_matches_golden(E.table2_inference_validation(rows=rows), "table2_inference_validation")
+    assert_matches_golden(get_study("table2_inference_validation", rows=rows).run(), "table2_inference_validation")
 
 
 def test_table4_matches_pre_redesign_output():
-    assert_matches_golden(E.table4_gemm_bottlenecks(gpus=("A100",)), "table4_gemm_bottlenecks")
+    assert_matches_golden(get_study("table4_gemm_bottlenecks", gpus=("A100",)).run(), "table4_gemm_bottlenecks")
 
 
 def test_fig3_matches_pre_redesign_output():
-    result = E.fig3_gemv_validation()
+    result = run_gemv_validation()
     want = GOLDEN["fig3_gemv_validation"]
     assert result.mean_error_varied_percent == pytest.approx(want["mean_error_varied_percent"], rel=1e-12)
     assert result.mean_error_constant_percent == pytest.approx(want["mean_error_constant_percent"], rel=1e-12)
 
 
 def test_fig4_matches_pre_redesign_output():
-    assert_matches_golden(E.fig4_memory_breakdown(models=("GPT-175B",)), "fig4_memory_breakdown")
+    assert_matches_golden(get_study("fig4_memory_breakdown", models=("GPT-175B",)).run(), "fig4_memory_breakdown")
 
 
 def test_fig5_matches_pre_redesign_output():
-    table = E.fig5_gpu_generation_scaling(systems=[("A100-HDR", 1024), ("H100-NDR", 1024)])
+    table = get_study("fig5_gpu_generation_scaling", systems=[("A100-HDR", 1024), ("H100-NDR", 1024)]).run()
     assert_matches_golden(table, "fig5_gpu_generation_scaling")
 
 
@@ -74,12 +76,13 @@ _FIG6_KWARGS = dict(
 
 
 def test_fig6_matches_pre_redesign_output():
-    assert_matches_golden(E.fig6_technology_node_scaling(**_FIG6_KWARGS), "fig6_technology_node_scaling")
+    table = get_study("fig6_technology_node_scaling", **_FIG6_KWARGS).run()
+    assert_matches_golden(table, "fig6_technology_node_scaling")
 
 
 def test_fig7_matches_pre_redesign_output_from_rows():
-    rows = E.fig6_technology_node_scaling(**_FIG6_KWARGS)
-    assert_matches_golden(E.fig7_bound_breakdown(rows=rows), "fig7_bound_breakdown")
+    rows = get_study("fig6_technology_node_scaling", **_FIG6_KWARGS).run()
+    assert_matches_golden(fig7_projection(rows), "fig7_bound_breakdown")
 
 
 def test_fig7_registered_study_matches_pre_redesign_output():
@@ -87,17 +90,18 @@ def test_fig7_registered_study_matches_pre_redesign_output():
 
 
 def test_fig8_matches_pre_redesign_output():
-    table = E.fig8_inference_boundedness(gpus=("H100",), batch_sizes=(1, 16))
+    table = get_study("fig8_inference_boundedness", gpus=("H100",), batch_sizes=(1, 16)).run()
     assert_matches_golden(table, "fig8_inference_boundedness")
 
 
 def test_fig9_rows_match_pre_redesign_output():
-    table = S.inference_memory_scaling_study(gpu_counts=(2,), memory_technologies=("GDDR6", "HBM2E"))
-    assert_matches_golden(table, "inference_memory_scaling_study")
+    table = get_study("fig9_memory_technology_scaling", gpu_counts=(2,), memory_technologies=("GDDR6", "HBM2E")).run()
+    assert_matches_golden(table, "inference_memory_scaling_study")  # the pre-redesign Fig.-9 function
 
 
 def test_serving_frontier_matches_pre_redesign_output():
-    table = E.serving_latency_throughput_frontier(
+    table = get_study(
+        "serving_latency_throughput_frontier",
         model_name="Llama2-7B",
         gpu="A100",
         num_devices=1,
@@ -106,13 +110,5 @@ def test_serving_frontier_matches_pre_redesign_output():
         num_requests=8,
         prompt_lengths=LengthDistribution.uniform(32, 128),
         output_lengths=LengthDistribution.constant(16),
-        runner=SweepRunner(),
-    )
+    ).run(runner=SweepRunner())
     assert_matches_golden(table, "serving_latency_throughput_frontier")
-
-
-def test_shim_and_registered_study_share_one_table():
-    """The shim is the registered study: identical output through either door."""
-    shim = E.table1_training_validation(rows=TABLE1_TRAINING_ROWS[:1])
-    registered = get_study("table1_training_validation", rows=TABLE1_TRAINING_ROWS[:1]).run()
-    assert shim.to_dict() == registered.to_dict()

@@ -44,6 +44,14 @@ def test_every_paper_artifact_is_registered():
     } <= names
 
 
+def test_paper_builders_are_named_after_their_registry_entry():
+    """The Python, registry and CLI names of every paper study agree."""
+    for entry in list_studies():
+        if entry.builder.__module__ == paper.__name__:
+            assert entry.builder.__name__ == entry.name
+            assert getattr(paper, entry.name) is entry.builder
+
+
 def test_registered_entries_carry_artifact_labels():
     by_name = {entry.name: entry for entry in list_studies()}
     assert by_name["table1_training_validation"].artifact == "Table 1"
@@ -68,6 +76,14 @@ def test_scalar_for_sequence_parameter_becomes_singleton():
     assert get_study("fig8_inference_boundedness", batch_sizes=4).axes["batch_size"] == [4]
     # Scalars for scalar parameters pass through untouched.
     assert get_study("table4_gemm_bottlenecks", prompt_tokens=128).fixed["prompt_tokens"] == 128
+
+
+def test_fig7_wraps_a_scalar_node_like_fig6():
+    """Fig. 7 forwards its keywords to the Fig.-6 builder; `-p nodes=N12` still sweeps one node."""
+    combination = [{"dram": "HBM2", "network": "NDR-x8"}]
+    table = get_study("fig7_bound_breakdown", nodes="N12", combinations=combination).run(runner=SweepRunner())
+    assert len(table) == 1
+    assert table[0]["technology_node"] == "N12"
 
 
 def test_register_and_unregister_custom_study():
@@ -305,7 +321,7 @@ def test_missing_required_fields_rejected():
 
 def test_code_only_studies_refuse_to_serialize():
     with pytest.raises(ConfigurationError, match="code-only"):
-        paper.inference_memory_scaling().to_dict()  # has a prepare hook
+        paper.fig9_memory_technology_scaling().to_dict()  # has a prepare hook
     with pytest.raises(ConfigurationError, match="callable extractor"):
         Study(name="x", kind="inference", extract=lambda r: {}).to_dict()
     with pytest.raises(ConfigurationError, match="callable derive"):

@@ -4,11 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import (
-    table1_training_validation,
-    table2_inference_validation,
-)
 from repro.analysis.formatting import summarize_errors
+from repro.studies import get_study
 from repro.validation.reference import (
     TABLE1_TRAINING_ROWS,
     TABLE2_INFERENCE_ROWS,
@@ -17,12 +14,12 @@ from repro.validation.reference import (
 
 @pytest.fixture(scope="module")
 def table1_rows():
-    return table1_training_validation()
+    return get_study("table1_training_validation").run()
 
 
 @pytest.fixture(scope="module")
 def table2_rows():
-    return table2_inference_validation()
+    return get_study("table2_inference_validation").run()
 
 
 def test_table1_covers_every_reference_row(table1_rows):
