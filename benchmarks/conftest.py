@@ -8,7 +8,12 @@ qualitative shape of the result (who wins, orderings, error bands).
 
 from __future__ import annotations
 
+import pathlib
 import sys
+
+# Test oracles (``serving_oracle``) live next to ``tests/conftest.py``; appending
+# keeps this directory's own ``conftest`` first on the path.
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
 
 
 def emit(text: str) -> None:

@@ -10,8 +10,9 @@ measured on the same workload:
 * **steady state**: the same simulator re-run with warm step-cost caches --
   what a frontier sweep sees, since the engine shares one ``StepCostModel``
   across all of a system's serving scenarios;
-* **stepwise**: the ``fused=False`` per-step reference loop, measured the
-  same way, giving the epoch-fusion speedup.
+* **stepwise**: the per-token reference loop of ``tests/serving_oracle.py``
+  (every prefill and decode step priced one operator at a time), measured
+  the same way, giving the epoch-fusion speedup.
 
 The headline numbers are written to ``BENCH_serving.json`` at the repo root
 so CI can archive the serving-throughput trajectory as an artifact (next to
@@ -25,6 +26,7 @@ import pathlib
 import time
 
 from conftest import emit
+from serving_oracle import StepwiseSimulator
 
 from repro.hardware.cluster import build_system
 from repro.models.zoo import get_model
@@ -76,7 +78,7 @@ def test_serving_simulator_throughput(benchmark):
     warm_wall_seconds = _best_wall_seconds(fused)
 
     # The per-step reference loop, measured identically (its own caches).
-    stepwise = ServingSimulator(system=system, model=model, tensor_parallel=1, fused=False)
+    stepwise = StepwiseSimulator(system=system, model=model, tensor_parallel=1)
     stepwise_report = stepwise.run(TRACE)  # cold warm-up run
     assert stepwise_report.to_dict() == report.to_dict()  # fusion is exact
     stepwise_wall_seconds = _best_wall_seconds(stepwise)

@@ -1,34 +1,30 @@
-"""Step-cost API: price one prefill or one decode step of an inference engine.
+"""Step-cost API: price the prefill and decode steps of an inference engine.
 
 This module is the reusable pricing core that both the end-to-end
 :class:`~repro.core.inference.InferencePerformanceModel` and the serving
-simulator (:mod:`repro.serving`) are built on.  It answers two questions
-directly:
+simulator (:mod:`repro.serving`) are built on.  The serving simulator asks
+it two questions:
 
 * **What does one prefill over this set of prompt lengths cost?**
   (:meth:`StepCostModel.prefill_step`) -- a continuous-batching engine packs
   the admitted prompts into one forward pass: the weight GEMMs see the
   *total* token count, while attention stays per-sequence.
-* **What does one decode step over this mixed batch of per-request KV
-  lengths cost?** (:meth:`StepCostModel.decode_step`) -- one token per
-  request through the weight GEMMs, plus one attention-scores/context GEMM
-  pair per request at its own KV-cache length.
 * **What do ``k`` consecutive decode steps of a fixed batch cost?**
   (:meth:`StepCostModel.decode_run`) -- between two composition changes of a
   continuous-batching engine the decode batch is identical except for every
-  KV length advancing by one per step.  The whole steps x batch KV-length
+  KV length advancing by one per step.  Each step prices one query token per
+  request through the weight GEMMs plus one attention-scores/context pair
+  per request at its own KV-cache length.  The whole steps x batch KV-length
   matrix is priced in one vectorized pass: weight GEMMs, collectives, and
   the lm_head are constant across the epoch and priced once, while the
   KV-dependent attention kernels are looked up from a per-KV-length time
-  table filled through the batched roofline backend.  The returned per-step
-  costs are bit-identical to ``k`` sequential :meth:`decode_step` calls.
+  table filled through the batched roofline backend.
 
-Both single-step questions are evaluated in **one** call through the
-vectorized roofline backend (:meth:`GemmTimeModel.evaluate_many
-<repro.perf.gemm.GemmTimeModel.evaluate_many>` /
-:mod:`repro.perf.batched`), and :meth:`~StepCostModel.decode_run` amortizes
-even the per-step Python work across a whole epoch -- which is what makes a
-discrete-event serving simulation over thousands of steps tractable.
+Both answers accumulate their terms in one fixed order -- the batch-constant
+token kernels, then each request's attention kernels, times ``num_layers``,
+then the collectives and the lm_head -- so a step's cost is the same float
+however the steps are grouped.  The stepwise reference that checks this
+bit for bit lives with the tests (``tests/serving_oracle.py``).
 
 The module also hosts the phase-report builders
 (:meth:`StepCostModel.phase_report`, :meth:`StepCostModel.decode_report_exact`)
@@ -62,114 +58,74 @@ from .reports import KernelTimeEntry, PhaseReport
 
 @dataclasses.dataclass(frozen=True)
 class StepCost:
-    """Cost of one engine step (a prefill or a decode iteration).
+    """Cost of one prefill step.
 
     Attributes:
         device_time: On-device kernel time of the step, in seconds.
         communication_time: Tensor-parallel collective time of the step.
-        compute_bound_time: GEMM time spent in compute-bound kernels.
-        memory_bound_time: GEMM time spent in memory/cache-bound kernels.
-        num_requests: Requests processed by the step.
-        tokens: Query tokens processed by the step (total prompt tokens for a
-            prefill, one per request for a decode step).
     """
 
     device_time: float
     communication_time: float
-    compute_bound_time: float
-    memory_bound_time: float
-    num_requests: int = 0
-    tokens: int = 0
 
     @property
     def total_time(self) -> float:
         """Wall-clock time of the step: device kernels plus communication."""
         return self.device_time + self.communication_time
 
-    @property
-    def is_idle(self) -> bool:
-        """Whether the step priced no work at all."""
-        return self.num_requests == 0
 
-
-ZERO_STEP = StepCost(0.0, 0.0, 0.0, 0.0)
+ZERO_STEP = StepCost(0.0, 0.0)
 
 
 @dataclasses.dataclass(frozen=True)
 class DecodeRun:
     """Cost of ``num_steps`` consecutive decode steps over a fixed batch.
 
-    Produced by :meth:`StepCostModel.decode_run`.  All arrays are
-    ``float64`` of shape ``(num_steps,)``; entry ``s`` is bit-identical to
-    the corresponding field of the :class:`StepCost` a scalar
-    :meth:`StepCostModel.decode_step` call at the step's KV lengths returns.
+    Produced by :meth:`StepCostModel.decode_run`.  Both arrays are
+    ``float64`` of shape ``(num_steps,)``.
 
     Attributes:
         device_times: On-device kernel time per step.
         communication_time: Tensor-parallel collective time of each step
             (constant across the epoch -- it depends only on the batch size).
-        compute_bound_times: GEMM time in compute-bound kernels per step.
-        memory_bound_times: GEMM time in memory/cache-bound kernels per step.
         total_times: Wall-clock time per step (device + communication).
-        num_requests: Requests decoded together in every step.
     """
 
     device_times: np.ndarray
     communication_time: float
-    compute_bound_times: np.ndarray
-    memory_bound_times: np.ndarray
     total_times: np.ndarray
-    num_requests: int
 
     @property
     def num_steps(self) -> int:
         """Number of decode steps the run prices."""
         return int(self.device_times.shape[0])
 
-    def step_costs(self) -> List[StepCost]:
-        """Materialize the per-step :class:`StepCost` objects."""
-        return [
-            StepCost(
-                device_time=float(self.device_times[step]),
-                communication_time=self.communication_time,
-                compute_bound_time=float(self.compute_bound_times[step]),
-                memory_bound_time=float(self.memory_bound_times[step]),
-                num_requests=self.num_requests,
-                tokens=self.num_requests,
-            )
-            for step in range(self.num_steps)
-        ]
-
 
 _EMPTY_TIMES = np.zeros(0, dtype=np.float64)
+
+#: Batch configurations (model, TP degree, precision) whose attention time
+#: tables one :class:`StepCostModel` keeps; the oldest is evicted past this.
+_MAX_ATTENTION_TABLES = 64
 
 
 class _AttentionTimeTable:
     """Grow-on-demand per-KV-length times of the decode attention kernels.
 
-    One contiguous ``(7, size)`` array so an epoch needs a single fancy-
-    indexed gather.  Kernel order within a request mirrors the order
-    :meth:`StepCostModel._attention_ops` emits: scores GEMM, context GEMM,
-    softmax.  Rows:
-
-    * 0-2: ``point.time + launch overhead`` of scores / context / softmax
-      (the terms the device-time accumulation adds);
-    * 3-4: bare ``point.time`` of the scores / context GEMM when compute
-      bound, else 0.0;
-    * 5-6: the same split for memory/cache-bound time.
-
-    The zero in the other bin keeps summing both bins over any KV set exact
-    (adding 0.0 to a non-negative float is the identity).
+    One contiguous ``(3, size)`` array so an epoch needs a single fancy-
+    indexed gather.  Row ``r`` holds ``point.time + launch overhead`` -- the
+    term the device-time accumulation adds -- of the scores GEMM (0), the
+    context GEMM (1) and the softmax (2), the order
+    :meth:`StepCostModel._attention_ops` emits them in.
     """
 
     #: Row indices of the table.
-    DEV_SCORES, DEV_CONTEXT, DEV_SOFTMAX, COMP_SCORES, COMP_CONTEXT, MEM_SCORES, MEM_CONTEXT = range(7)
+    SCORES, CONTEXT, SOFTMAX = range(3)
 
     __slots__ = ("filled", "terms")
 
     def __init__(self) -> None:
         self.filled = np.zeros(0, dtype=bool)
-        self.terms = np.zeros((7, 0), dtype=np.float64)
+        self.terms = np.zeros((3, 0), dtype=np.float64)
 
     def reserve(self, size: int) -> None:
         """Grow the table so KV lengths below ``size`` are addressable."""
@@ -180,7 +136,7 @@ class _AttentionTimeTable:
         filled = np.zeros(size, dtype=bool)
         filled[:current] = self.filled
         self.filled = filled
-        terms = np.zeros((7, size), dtype=np.float64)
+        terms = np.zeros((3, size), dtype=np.float64)
         terms[:, :current] = self.terms
         self.terms = terms
 
@@ -216,17 +172,18 @@ class StepCostModel:
         self._attention_ops_cache = Memo()
         self._token_ops_cache = Memo()
         self._comm_time_cache = Memo()
-        # Epoch-fused decode pricing state: per-KV-length attention time
-        # tables and the batch-constant partial sums of the token ops.  Both
+        # Step pricing state: per-KV-length attention time tables and the
+        # batch-constant partial sums of the token ops and the lm_head.  All
         # survive across simulations (and across the scenarios of a sweep
         # when the model instance is shared through the engine).
         self._attention_tables: Dict[Tuple, _AttentionTimeTable] = {}
         self._token_partials_cache = Memo()
         self._head_terms_cache = Memo()
-        # Serializes table growth + fills: one StepCostModel is shared per
-        # system (engine_for), so thread-executor sweeps price epochs
-        # concurrently.  The read path stays lock-free -- growth copies the
-        # old content and a gather reads one array reference atomically.
+        # Serializes the table registry (lookup, eviction, insert) and table
+        # growth + fills: one StepCostModel is shared per system
+        # (engine_for), so thread-executor sweeps price epochs concurrently.
+        # The gather stays lock-free -- growth copies the old content and a
+        # gather reads one array reference atomically.
         self._table_lock = threading.Lock()
         # Memo telemetry: every lookup into the caches above counts as a hit
         # or a miss, so sweeps can verify that a shared instance actually
@@ -543,64 +500,6 @@ class StepCostModel:
         time = sum(self.collective_model.time(comm) for comm in builder.forward_communication(scope=scope))
         return self._comm_time_cache.put(key, time)
 
-    def _price_step(
-        self,
-        model: TransformerConfig,
-        layer_ops: Sequence[Operator],
-        tensor_parallel: int,
-        precision: Precision,
-        num_requests: int,
-        tokens: int,
-        include_lm_head: bool,
-    ) -> StepCost:
-        """Price ``num_layers x layer_ops`` plus collectives and the lm_head."""
-        gemms = [op for op in layer_ops if isinstance(op, GEMM)]
-        lm_head = self._lm_head(model, num_requests, tensor_parallel, precision) if include_lm_head else None
-        if lm_head is not None:
-            gemms.append(lm_head)
-        # One batched call warms the kernel memo for every GEMM of the step;
-        # the per-op loop below then only takes cache hits.
-        points = self.kernel_model.gemm_model.evaluate_many(gemms)
-
-        num_layers = model.num_layers
-        device_time = 0.0
-        compute_bound_time = 0.0
-        memory_bound_time = 0.0
-        evaluate = self.kernel_model.evaluate
-        overhead = self.kernel_model.overhead
-        for op in layer_ops:
-            point = evaluate(op)
-            point_time = point.time
-            device_time += point_time + overhead(op)
-            if isinstance(op, GEMM):
-                if point.bound is BoundType.COMPUTE:
-                    compute_bound_time += point_time
-                else:
-                    memory_bound_time += point_time
-        device_time *= num_layers
-        compute_bound_time *= num_layers
-        memory_bound_time *= num_layers
-
-        communication_time = self._layer_comm_time(model, tokens, tensor_parallel, precision) * num_layers
-
-        if lm_head is not None:
-            head_point = points[-1]
-            head_time = head_point.time
-            device_time += head_time + self.kernel_model.overhead(lm_head)
-            if head_point.bound is BoundType.COMPUTE:
-                compute_bound_time += head_time
-            else:
-                memory_bound_time += head_time
-
-        return StepCost(
-            device_time=device_time,
-            communication_time=communication_time,
-            compute_bound_time=compute_bound_time,
-            memory_bound_time=memory_bound_time,
-            num_requests=num_requests,
-            tokens=tokens,
-        )
-
     def prefill_step(
         self,
         model: TransformerConfig,
@@ -615,55 +514,36 @@ class StepCostModel:
         see ``sum(prompt_lens)`` tokens, while each request keeps its own
         attention-scores/context GEMMs and softmax at its own length.  The
         lm_head prices one logits row per request (only the last prompt token
-        feeds generation).
+        feeds generation).  The device time continues the memoized token-op
+        partial sum with each prompt's attention terms, in the order
+        :meth:`decode_run` accumulates a decode step.
         """
         prompt_lens = [int(length) for length in prompt_lens]
         if not prompt_lens:
             return ZERO_STEP
         tokens = sum(prompt_lens)
-        layer_ops: List[Operator] = list(self._token_ops(model, tokens, tensor_parallel, precision))
-        for length in prompt_lens:
-            layer_ops.extend(self._attention_ops(model, length, length, tensor_parallel, precision))
-        return self._price_step(
-            model,
-            layer_ops,
-            tensor_parallel,
-            precision,
-            num_requests=len(prompt_lens),
-            tokens=tokens,
-            include_lm_head=include_lm_head,
+        token_ops = self._token_ops(model, tokens, tensor_parallel, precision)
+        attention_ops = [
+            op
+            for length in prompt_lens
+            for op in self._attention_ops(model, length, length, tensor_parallel, precision)
+        ]
+        # One batched call warms the kernel memo for every GEMM of the step
+        # (the token-op partial sum prices from it on a miss); the per-op
+        # loops then only take cache hits.
+        self.kernel_model.gemm_model.evaluate_many(
+            [op for op in (*token_ops, *attention_ops) if isinstance(op, GEMM)]
         )
-
-    def decode_step(
-        self,
-        model: TransformerConfig,
-        kv_lens: Sequence[int],
-        tensor_parallel: int = 1,
-        precision: Precision = Precision.FP16,
-        include_lm_head: bool = True,
-    ) -> StepCost:
-        """Cost of one decode step over a mixed batch of per-request KV lengths.
-
-        Each request contributes one query token to the shared weight GEMMs
-        and one attention-scores/context pair at its own KV-cache length
-        ``kv_lens[i]`` -- exactly the mixed-shape batch the vectorized
-        roofline backend evaluates in one call.
-        """
-        kv_lens = [int(length) for length in kv_lens]
-        if not kv_lens:
-            return ZERO_STEP
-        layer_ops: List[Operator] = list(self._token_ops(model, len(kv_lens), tensor_parallel, precision))
-        for kv_len in kv_lens:
-            layer_ops.extend(self._attention_ops(model, 1, kv_len, tensor_parallel, precision))
-        return self._price_step(
-            model,
-            layer_ops,
-            tensor_parallel,
-            precision,
-            num_requests=len(kv_lens),
-            tokens=len(kv_lens),
-            include_lm_head=include_lm_head,
-        )
+        evaluate = self.kernel_model.evaluate
+        overhead = self.kernel_model.overhead
+        device_time = self._token_partials(model, tokens, tensor_parallel, precision)
+        for op in attention_ops:
+            device_time += evaluate(op).time + overhead(op)
+        device_time *= model.num_layers
+        communication_time = self._layer_comm_time(model, tokens, tensor_parallel, precision) * model.num_layers
+        if include_lm_head:
+            device_time += self._head_terms(model, len(prompt_lens), tensor_parallel, precision)
+        return StepCost(device_time=device_time, communication_time=communication_time)
 
     # -- epoch-fused decode pricing (the event-horizon serving backend) ----------------
 
@@ -672,14 +552,15 @@ class StepCostModel:
     ) -> _AttentionTimeTable:
         """The per-KV-length attention time table of one batch configuration."""
         key = (model, tensor_parallel, precision)
-        table = self._attention_tables.get(key)
-        if table is None:
-            if len(self._attention_tables) >= 64:
-                # Evict the oldest configuration only: clearing everything
-                # would throw away the warm tables of the other 63.
-                self._attention_tables.pop(next(iter(self._attention_tables)))
-            table = _AttentionTimeTable()
-            self._attention_tables[key] = table
+        with self._table_lock:
+            table = self._attention_tables.get(key)
+            if table is None:
+                if len(self._attention_tables) >= _MAX_ATTENTION_TABLES:
+                    # Evict the oldest configuration only: clearing everything
+                    # would throw away the warm tables of all the others.
+                    self._attention_tables.pop(next(iter(self._attention_tables)))
+                table = _AttentionTimeTable()
+                self._attention_tables[key] = table
         return table
 
     def _demand_attention_rows(
@@ -744,7 +625,7 @@ class StepCostModel:
         adds for each kernel bit for bit (the backend's exact-equality
         contract, enforced by ``tests/perf/test_batched.py``).
         """
-        from ..perf.batched import BOUND_COMPUTE, GemmBatch
+        from ..perf.batched import GemmBatch
 
         ops_by_kv = [
             self._attention_ops(model, 1, int(kv), tensor_parallel, precision) for kv in missing
@@ -753,19 +634,10 @@ class StepCostModel:
         result = gemm_model.batched.evaluate_batch(
             GemmBatch.from_gemms(op for scores, context, _ in ops_by_kv for op in (scores, context))
         )
-        times = result.kernel_time
-        compute_bound = result.bound_codes == BOUND_COMPUTE
-        device_terms = times + gemm_model.kernel_overhead
+        device_terms = result.kernel_time + gemm_model.kernel_overhead
         terms = table.terms
-        for offset, (dev_row, comp_row, mem_row) in enumerate(
-            (
-                (table.DEV_SCORES, table.COMP_SCORES, table.MEM_SCORES),
-                (table.DEV_CONTEXT, table.COMP_CONTEXT, table.MEM_CONTEXT),
-            )
-        ):
-            terms[dev_row, missing] = device_terms[offset::2]
-            terms[comp_row, missing] = np.where(compute_bound[offset::2], times[offset::2], 0.0)
-            terms[mem_row, missing] = np.where(compute_bound[offset::2], 0.0, times[offset::2])
+        terms[table.SCORES, missing] = device_terms[0::2]
+        terms[table.CONTEXT, missing] = device_terms[1::2]
 
         # Softmax: the memory-bound kernel model's max(compute, DRAM stream)
         # with the same operand order as MemoryBoundKernelModel.evaluate.
@@ -778,65 +650,47 @@ class StepCostModel:
             softmax_flops / memory_model.accelerator.compute.vector_throughput,
             softmax_bytes / bandwidth,
         )
-        terms[table.DEV_SOFTMAX, missing] = softmax_times + memory_model.kernel_overhead
+        terms[table.SOFTMAX, missing] = softmax_times + memory_model.kernel_overhead
         table.filled[missing] = True
 
     def _token_partials(
         self, model: TransformerConfig, tokens: int, tensor_parallel: int, precision: Precision
-    ) -> Tuple[float, float, float]:
-        """Partial sums of the batch-constant (token-count) kernels of one step.
+    ) -> float:
+        """Device-time partial sum of the batch-constant (token-count) kernels.
 
-        Returns ``(device, compute_bound, memory_bound)`` exactly as the
-        scalar :meth:`_price_step` accumulation holds them after the token
-        ops and before the first per-request attention kernel, so a fused
-        run can seed its sequential per-step reductions with them.
+        The sequential sum of ``point.time + overhead`` over the token ops of
+        one layer, which every step (prefill or decode) continues with its
+        per-request attention terms.
         """
         key = (model, tokens, tensor_parallel, precision)
-        partials = self._token_partials_cache.get(key)
-        if partials is not None:
+        partial = self._token_partials_cache.get(key)
+        if partial is not None:
             self.cache_hits += 1
-            return partials
+            return partial
         self.cache_misses += 1
         ops = self._token_ops(model, tokens, tensor_parallel, precision)
-        self.kernel_model.gemm_model.evaluate_many([op for op in ops if isinstance(op, GEMM)])
+        gemm_model = self.kernel_model.gemm_model
+        missing = [op for op in ops if isinstance(op, GEMM) and not gemm_model.memoized(op)]
+        if missing:
+            gemm_model.evaluate_many(missing)
         device = 0.0
-        compute = 0.0
-        memory = 0.0
         for op in ops:
-            point = self.kernel_model.evaluate(op)
-            device += point.time + self.kernel_model.overhead(op)
-            if isinstance(op, GEMM):
-                if point.bound is BoundType.COMPUTE:
-                    compute += point.time
-                else:
-                    memory += point.time
-        self._token_partials_cache.put(key, (device, compute, memory))
-        return device, compute, memory
+            device += self.kernel_model.evaluate(op).time + self.kernel_model.overhead(op)
+        return self._token_partials_cache.put(key, device)
 
     def _head_terms(
         self, model: TransformerConfig, tokens: int, tensor_parallel: int, precision: Precision
-    ) -> Tuple[float, float, bool]:
-        """The lm_head's per-step contributions for ``tokens`` logits rows.
-
-        Returns ``(device term, bare kernel time, is compute bound)``; the
-        device term is the ``point.time + overhead`` expression the scalar
-        accumulation adds, computed once per batch composition.
-        """
+    ) -> float:
+        """The lm_head's ``point.time + overhead`` device term for ``tokens`` logits rows."""
         key = (model, tokens, tensor_parallel, precision)
-        terms = self._head_terms_cache.get(key)
-        if terms is not None:
+        term = self._head_terms_cache.get(key)
+        if term is not None:
             self.cache_hits += 1
-            return terms
+            return term
         self.cache_misses += 1
         lm_head = self._lm_head(model, tokens, tensor_parallel, precision)
-        point = self.kernel_model.evaluate(lm_head)
-        head_time = point.time
-        terms = (
-            head_time + self.kernel_model.overhead(lm_head),
-            head_time,
-            point.bound is BoundType.COMPUTE,
-        )
-        return self._head_terms_cache.put(key, terms)
+        term = self.kernel_model.evaluate(lm_head).time + self.kernel_model.overhead(lm_head)
+        return self._head_terms_cache.put(key, term)
 
     def decode_run(
         self,
@@ -850,34 +704,23 @@ class StepCostModel:
         """Price ``num_steps`` consecutive decode steps of a fixed batch at once.
 
         Step ``s`` (0-based) prices the batch at KV lengths
-        ``[kv + s for kv in kv_lens]`` -- exactly what ``num_steps``
-        sequential :meth:`decode_step` calls see over a continuous-batching
-        epoch with no admissions or retirements.  The weight GEMMs, the
-        collectives, and the lm_head depend only on the (constant) batch
-        composition and are priced once; the per-request attention kernels
-        come from the per-KV-length table.  Every per-step reduction runs as
-        a sequential ``cumsum`` seeded with the scalar path's partial sums,
-        in the scalar path's accumulation order, so the returned per-step
-        costs are **bit-identical** to the step-by-step loop.
+        ``[kv + s for kv in kv_lens]`` -- what a continuous-batching engine
+        decodes over an epoch with no admissions or retirements.  The weight
+        GEMMs, the collectives, and the lm_head depend only on the (constant)
+        batch composition and are priced once; the per-request attention
+        kernels come from the per-KV-length table.  Each step's device time is
+        a sequential ``cumsum`` seeded with the token-op partial sum, so entry
+        ``s`` is the same float a one-step run at those KV lengths returns.
         """
         kv_lens = [int(length) for length in kv_lens]
         num_steps = int(num_steps)
         if not kv_lens or num_steps < 1:
-            return DecodeRun(
-                device_times=_EMPTY_TIMES,
-                communication_time=0.0,
-                compute_bound_times=_EMPTY_TIMES,
-                memory_bound_times=_EMPTY_TIMES,
-                total_times=_EMPTY_TIMES,
-                num_requests=len(kv_lens),
-            )
+            return DecodeRun(device_times=_EMPTY_TIMES, communication_time=0.0, total_times=_EMPTY_TIMES)
         batch = len(kv_lens)
         num_layers = model.num_layers
         table = self._attention_table(model, tensor_parallel, precision)
         self._demand_attention_rows(table, model, kv_lens, num_steps, tensor_parallel, precision)
-        token_device, token_compute, token_memory = self._token_partials(
-            model, batch, tensor_parallel, precision
-        )
+        token_device = self._token_partials(model, batch, tensor_parallel, precision)
 
         # One gather of every attention term the epoch touches:
         # gathered[row, s, i] is table row `row` at request i's KV length in
@@ -888,48 +731,23 @@ class StepCostModel:
         )
         gathered = table.terms[:, kv_matrix]
 
-        # Sequential (cumsum) reductions over [token partial, per-request
+        # Sequential (cumsum) reduction over [token partial, per-request
         # attention terms...] per step: columns 3i+1..3i+3 of a row hold
-        # request i's scores/context/softmax terms, matching the order the
-        # scalar loop walks layer_ops in.
+        # request i's scores/context/softmax terms.
         device_terms = np.empty((num_steps, 3 * batch + 1), dtype=np.float64)
         device_terms[:, 0] = token_device
-        device_terms[:, 1::3] = gathered[table.DEV_SCORES]
-        device_terms[:, 2::3] = gathered[table.DEV_CONTEXT]
-        device_terms[:, 3::3] = gathered[table.DEV_SOFTMAX]
+        device_terms[:, 1::3] = gathered[table.SCORES]
+        device_terms[:, 2::3] = gathered[table.CONTEXT]
+        device_terms[:, 3::3] = gathered[table.SOFTMAX]
         device_times = device_terms.cumsum(axis=1)[:, -1] * num_layers
-
-        # Compute- and memory-bound splits share one stacked reduction: the
-        # top `num_steps` rows accumulate the compute bin, the bottom rows
-        # the memory bin (only the two GEMMs contribute; zeros elsewhere).
-        bound_terms = np.empty((2 * num_steps, 2 * batch + 1), dtype=np.float64)
-        bound_terms[:num_steps, 0] = token_compute
-        bound_terms[:num_steps, 1::2] = gathered[table.COMP_SCORES]
-        bound_terms[:num_steps, 2::2] = gathered[table.COMP_CONTEXT]
-        bound_terms[num_steps:, 0] = token_memory
-        bound_terms[num_steps:, 1::2] = gathered[table.MEM_SCORES]
-        bound_terms[num_steps:, 2::2] = gathered[table.MEM_CONTEXT]
-        bound_times = bound_terms.cumsum(axis=1)[:, -1] * num_layers
-        compute_times = bound_times[:num_steps]
-        memory_times = bound_times[num_steps:]
 
         communication_time = (
             self._layer_comm_time(model, batch, tensor_parallel, precision) * num_layers
         )
         if include_lm_head:
-            head_device, head_time, head_is_compute = self._head_terms(
-                model, batch, tensor_parallel, precision
-            )
-            device_times = device_times + head_device
-            if head_is_compute:
-                compute_times = compute_times + head_time
-            else:
-                memory_times = memory_times + head_time
+            device_times = device_times + self._head_terms(model, batch, tensor_parallel, precision)
         return DecodeRun(
             device_times=device_times,
             communication_time=communication_time,
-            compute_bound_times=compute_times,
-            memory_bound_times=memory_times,
             total_times=device_times + communication_time,
-            num_requests=batch,
         )

@@ -6,10 +6,11 @@ over the day.  This module scales the single-replica event-horizon
 simulator (:mod:`repro.serving.simulator`) to that setting without
 reintroducing any per-step Python work.  Every replica is a
 :class:`~repro.serving.simulator.ReplicaEngine` -- the same
-:class:`~repro.serving.scheduler.ContinuousBatchingScheduler` plus
-epoch-fused :meth:`~repro.core.stepcost.StepCostModel.decode_run` loop --
-and all replicas share **one** :class:`StepCostModel` per system, so its
-step-cost caches amortize across the whole fleet.
+:class:`~repro.serving.scheduler.ContinuousBatchingScheduler` plus the one
+serving loop, which prices decode epochs through
+:meth:`~repro.core.stepcost.StepCostModel.decode_run` -- and all replicas
+share **one** :class:`StepCostModel` per system, so its step-cost caches
+amortize across the whole fleet.
 
 The fleet has exactly two execution paths, chosen from the inputs alone:
 
@@ -29,7 +30,7 @@ The fleet has exactly two execution paths, chosen from the inputs alone:
   :class:`~repro.serving.faults.SLOAutoscaler`) that join and drain
   replicas on rolling windows.  One time-ordered event heap pops arrivals,
   crashes, recoveries and scaling ticks, and every up replica advances to
-  each event through epoch-fused decode runs cut at that horizon
+  each event through decode epochs cut at that horizon
   (``ReplicaEngine.advance(until=...)``).  The epoch cuts change nothing
   but grouping, so per-replica results stay exact, and a fault-free fixed
   fleet is bit-identical whichever path prices it.
@@ -61,7 +62,7 @@ from .report import RequestMetrics, ServingReport, ServingSLO, percentile
 from .request import FleetTraceConfig, Request, TraceColumns, TraceConfig
 from .router import ROUTER_POLICIES, RouterPolicy, get_router
 from .scheduler import SchedulerConfig
-from .simulator import _ARRIVAL_PROBE_STEPS, _MAX_EPOCH_STEPS, ReplicaEngine, ServingSimulator
+from .simulator import ReplicaEngine, ServingSimulator
 
 # Event kinds of the fleet event loop, in tie-break priority order at
 # equal timestamps: recoveries land before crashes, crashes before scaling
@@ -86,10 +87,6 @@ class FleetConfig:
         scheduler: Per-replica batching / admission-control knobs.
         slo: Latency SLO for goodput accounting (fleet and per replica).
         include_lm_head: Whether steps price the logits GEMM.
-        max_epoch_steps: Per-replica fused-epoch cap
-            (:class:`~repro.serving.simulator.ServingSimulator` default).
-        arrival_probe_steps: Per-replica probe cap while an admissible
-            arrival is pending.
         faults: Optional replica crash/recovery process; ``None`` (or a
             config with infinite MTBF) keeps the fleet fault-free.
         retry: What happens to requests a crash evicts (only consulted
@@ -105,8 +102,6 @@ class FleetConfig:
     scheduler: SchedulerConfig = dataclasses.field(default_factory=SchedulerConfig)
     slo: ServingSLO = dataclasses.field(default_factory=ServingSLO)
     include_lm_head: bool = True
-    max_epoch_steps: int = _MAX_EPOCH_STEPS
-    arrival_probe_steps: int = _ARRIVAL_PROBE_STEPS
     faults: Optional[FaultConfig] = None
     retry: RetryPolicy = dataclasses.field(default_factory=RetryPolicy)
     autoscaler: Optional[AutoscalerConfig] = None
@@ -118,8 +113,6 @@ class FleetConfig:
             raise ConfigurationError(
                 f"unknown router policy {self.router!r}; choose from {sorted(ROUTER_POLICIES)}"
             )
-        if self.max_epoch_steps < 1 or self.arrival_probe_steps < 1:
-            raise ConfigurationError("max_epoch_steps and arrival_probe_steps must be >= 1")
         if self.autoscaler is not None and not (
             self.autoscaler.min_replicas <= self.num_replicas <= self.autoscaler.max_replicas
         ):
@@ -308,8 +301,6 @@ class FleetSimulator:
             scheduler_config=fleet.scheduler,
             slo=fleet.slo,
             include_lm_head=fleet.include_lm_head,
-            max_epoch_steps=fleet.max_epoch_steps,
-            arrival_probe_steps=fleet.arrival_probe_steps,
         )
 
     def run(self, workload: Optional[Union[TraceColumns, Sequence[Request]]] = None) -> FleetReport:
@@ -369,7 +360,7 @@ class FleetSimulator:
 
         Events (arrivals and retries, replica crashes and recoveries,
         autoscaler ticks) pop in time order; every up replica advances to
-        each event's horizon through fused epochs cut there
+        each event's horizon through decode epochs cut there
         (``advance(until=...)``), and the router then inspects the settled
         replica states -- which is what stateful routers need, and why a
         fault-free fixed fleet prices exactly as if partitioned.  A crash

@@ -15,20 +15,21 @@ continuous-batching inference server does:
 Decode steps are not priced one at a time.  Between two composition changes
 of the running batch -- the next retirement, or the next arrival that could
 actually be admitted -- every step is identical except for the KV lengths
-advancing by one.  The fused loop computes that *epoch horizon* from the
-scheduler (:meth:`~repro.serving.scheduler.ContinuousBatchingScheduler.min_remaining_tokens`
+advancing by one.  The loop computes that *epoch horizon* from the scheduler
+(:meth:`~repro.serving.scheduler.ContinuousBatchingScheduler.min_remaining_tokens`
 / :attr:`~repro.serving.scheduler.ContinuousBatchingScheduler.admission_blocked`)
 and prices the whole epoch in one
 :meth:`~repro.core.stepcost.StepCostModel.decode_run` call; per-step
 timestamps then come from sequential cumulative sums, which keeps every
-clock value **bit-identical** to the step-by-step loop (available as
-``fused=False`` and used as the reference in the equivalence tests).  The
-simulation is fully deterministic: the trace is seeded, the pricing is
-analytic, and ties are broken by queue order.
+clock value **bit-identical** to pricing and timestamping one token at a
+time (the per-token reference in ``tests/serving_oracle.py`` checks this
+across randomized traces).  The simulation is fully deterministic: the
+trace is seeded, the pricing is analytic, and ties are broken by queue
+order.
 
-The loop itself lives in :class:`ReplicaEngine`, a *resumable* form of the
-event loop: requests are submitted incrementally and the engine advances
-until drained or until a caller-supplied horizon time.  A single-replica
+The loop lives in :class:`ReplicaEngine`, a *resumable* form of the event
+loop: requests are submitted incrementally and the engine advances until
+drained or until a caller-supplied horizon time.  A single-replica
 simulation (:meth:`ServingSimulator.run`) submits the whole trace and drains
 in one call; the fleet simulator (:mod:`repro.serving.fleet`) interleaves
 many engines, advancing each to the next routed arrival.  Cutting an epoch
@@ -56,18 +57,17 @@ from .report import RequestMetrics, ServingReport, ServingSLO, percentile
 from .request import Request, TraceConfig
 from .scheduler import ContinuousBatchingScheduler, RequestState, SchedulerConfig
 
-#: Default upper bound on the steps one fused epoch prices at once.  Caps the
-#: term matrices of :meth:`StepCostModel.decode_run` (bounding memory); epochs
-#: longer than this simply continue in the next loop iteration.  Tunable per
-#: simulator via ``max_epoch_steps``.
+#: Upper bound on the steps one epoch prices at once.  Caps the term
+#: matrices of :meth:`StepCostModel.decode_run` (bounding memory); epochs
+#: longer than this simply continue in the next loop iteration.
 _MAX_EPOCH_STEPS = 1024
 
-#: Default priced-horizon cap while a pending arrival could still be admitted
-#: mid-epoch.  The arrival's step index is unknown until the steps are
-#: priced, so pricing the full retirement horizon could discard almost all
-#: of it; a short probe bounds the waste, and uninterrupted probes commit
-#: and continue through the main loop like any capped epoch.  Tunable per
-#: simulator via ``arrival_probe_steps``.
+#: Priced-horizon cap while a pending arrival could still be admitted
+#: mid-epoch, or while the caller advances to a horizon time.  The cut's
+#: step index is unknown until the steps are priced, so pricing the full
+#: retirement horizon could discard almost all of it; a short probe bounds
+#: the waste, and uninterrupted probes commit and continue through the main
+#: loop like any capped epoch.
 _ARRIVAL_PROBE_STEPS = 64
 
 
@@ -77,7 +77,7 @@ def _running_sum(start: float, values: np.ndarray) -> np.ndarray:
     ``np.cumsum`` accumulates strictly left to right (it is ``add.accumulate``,
     which never uses pairwise summation), so entry ``i + 1`` is bit-identical
     to ``i + 1`` scalar ``+=`` updates of an accumulator that began at
-    ``start`` -- the property the fused loop relies on for exact timestamps.
+    ``start`` -- the property the epoch loop relies on for exact timestamps.
     """
     buffer = np.empty(values.shape[0] + 1, dtype=np.float64)
     buffer[0] = start
@@ -109,8 +109,8 @@ class ReplicaEngine:
     accumulators of one replica.  Requests are :meth:`submit`-ted in arrival
     order (possibly incrementally, between :meth:`advance` calls -- the fleet
     routes each arrival when it happens) and the loop advances through
-    prefill steps and epoch-fused decode runs priced by the simulator's
-    shared :class:`~repro.core.stepcost.StepCostModel`.
+    prefill steps and decode epochs priced by the simulator's shared
+    :class:`~repro.core.stepcost.StepCostModel`.
 
     ``advance(until=t)`` pauses once the clock reaches ``t`` (engine steps
     are atomic, so the clock may overshoot by the final step of an epoch) or
@@ -206,77 +206,53 @@ class ReplicaEngine:
                 active = scheduler.active
                 retire_in = scheduler.min_remaining_tokens()
                 kv_lens = [state.decode_kv_len for state in active]
-                if simulator.fused:
-                    # Event-horizon epoch: price every step up to the next
-                    # retirement in one vectorized call, then cut the epoch
-                    # at the first arrival that could change scheduling (and,
-                    # when resuming incrementally, at the caller's horizon).
-                    interruptible = bool(pending) and not scheduler.admission_blocked
-                    probing = interruptible or until is not None
-                    horizon = min(
-                        retire_in,
-                        simulator.arrival_probe_steps if probing else simulator.max_epoch_steps,
-                    )
-                    epoch = step_cost.decode_run(
-                        simulator.model,
-                        kv_lens,
-                        horizon,
-                        tensor_parallel=simulator.tensor_parallel,
-                        precision=simulator.precision,
-                        include_lm_head=simulator.include_lm_head,
-                    )
-                    totals = epoch.total_times
-                    end_times = _running_sum(self.now, totals)
-                    steps = horizon
-                    if interruptible:
-                        # First step after which the pending arrival is due
-                        # (arrival_time <= clock), exactly the stepwise
-                        # loop's enqueue predicate.
-                        cut = int(
-                            np.searchsorted(end_times[1:], pending[0].arrival_time, side="left")
-                        )
-                        if cut < horizon:
-                            steps = cut + 1
-                    if until is not None:
-                        # Hand control back at the first step boundary at or
-                        # past the caller's horizon.
-                        cut = int(np.searchsorted(end_times[1:], until, side="left"))
-                        if cut < horizon:
-                            steps = min(steps, cut + 1)
-                    self.now = float(end_times[steps])
-                    # busy_time and decode_time advance by the same step
-                    # totals but from different starting values; one stacked
-                    # cumsum keeps both accumulations sequential (bit-exact).
-                    accumulators = np.empty((2, steps + 1), dtype=np.float64)
-                    accumulators[0, 0] = self.busy_time
-                    accumulators[1, 0] = self.decode_time
-                    accumulators[:, 1:] = totals[:steps]
-                    finals = accumulators.cumsum(axis=1)[:, -1]
-                    self.busy_time = float(finals[0])
-                    self.decode_time = float(finals[1])
-                    self.decode_steps += steps
-                    self.decode_batch_total += len(kv_lens) * steps
-                    for state in active:
-                        state.generated += steps
-                    if steps == retire_in:
-                        self.completed.extend(scheduler.retire_finished(self.now))
-                else:
-                    cost = step_cost.decode_step(
-                        simulator.model,
-                        kv_lens,
-                        tensor_parallel=simulator.tensor_parallel,
-                        precision=simulator.precision,
-                        include_lm_head=simulator.include_lm_head,
-                    )
-                    self.now += cost.total_time
-                    self.busy_time += cost.total_time
-                    self.decode_time += cost.total_time
-                    self.decode_steps += 1
-                    self.decode_batch_total += len(kv_lens)
-                    for state in active:
-                        state.generated += 1
-                    if retire_in == 1:
-                        self.completed.extend(scheduler.retire_finished(self.now))
+                # Event-horizon epoch: price every step up to the next
+                # retirement in one vectorized call, then cut the epoch at the
+                # first arrival that could change scheduling (and, when
+                # resuming incrementally, at the caller's horizon).
+                interruptible = bool(pending) and not scheduler.admission_blocked
+                probing = interruptible or until is not None
+                horizon = min(retire_in, _ARRIVAL_PROBE_STEPS if probing else _MAX_EPOCH_STEPS)
+                epoch = step_cost.decode_run(
+                    simulator.model,
+                    kv_lens,
+                    horizon,
+                    tensor_parallel=simulator.tensor_parallel,
+                    precision=simulator.precision,
+                    include_lm_head=simulator.include_lm_head,
+                )
+                totals = epoch.total_times
+                end_times = _running_sum(self.now, totals)
+                steps = horizon
+                if interruptible:
+                    # First step after which the pending arrival is due
+                    # (arrival_time <= clock), the loop's enqueue predicate.
+                    cut = int(np.searchsorted(end_times[1:], pending[0].arrival_time, side="left"))
+                    if cut < horizon:
+                        steps = cut + 1
+                if until is not None:
+                    # Hand control back at the first step boundary at or
+                    # past the caller's horizon.
+                    cut = int(np.searchsorted(end_times[1:], until, side="left"))
+                    if cut < horizon:
+                        steps = min(steps, cut + 1)
+                self.now = float(end_times[steps])
+                # busy_time and decode_time advance by the same step totals
+                # but from different starting values; one stacked cumsum
+                # keeps both accumulations sequential (bit-exact).
+                accumulators = np.empty((2, steps + 1), dtype=np.float64)
+                accumulators[0, 0] = self.busy_time
+                accumulators[1, 0] = self.decode_time
+                accumulators[:, 1:] = totals[:steps]
+                finals = accumulators.cumsum(axis=1)[:, -1]
+                self.busy_time = float(finals[0])
+                self.decode_time = float(finals[1])
+                self.decode_steps += steps
+                self.decode_batch_total += len(kv_lens) * steps
+                for state in active:
+                    state.generated += steps
+                if steps == retire_in:
+                    self.completed.extend(scheduler.retire_finished(self.now))
             elif pending:
                 self.now = max(self.now, pending[0].arrival_time)
             else:
@@ -290,13 +266,9 @@ class ReplicaEngine:
 class ServingSimulator:
     """Simulates request-level serving of one model on one system.
 
-    ``fused=True`` (the default) prices decode steps in epoch-fused batches
-    through :meth:`StepCostModel.decode_run`; ``fused=False`` keeps the
-    one-``decode_step``-call-per-token reference loop.  Both produce
-    bit-identical reports.  ``max_epoch_steps`` / ``arrival_probe_steps``
-    bound how many decode steps one fused epoch prices (memory vs. discarded
-    probing trade-off); any values produce bit-identical results, they only
-    change how the work is grouped.
+    Prefill steps are priced through :meth:`StepCostModel.prefill_step` and
+    decode steps in epochs through :meth:`StepCostModel.decode_run`; see the
+    module docstring for how epochs are cut.
     """
 
     def __init__(
@@ -309,14 +281,9 @@ class ServingSimulator:
         scheduler_config: Optional[SchedulerConfig] = None,
         slo: Optional[ServingSLO] = None,
         include_lm_head: bool = True,
-        fused: bool = True,
-        max_epoch_steps: int = _MAX_EPOCH_STEPS,
-        arrival_probe_steps: int = _ARRIVAL_PROBE_STEPS,
     ):
         if tensor_parallel < 1:
             raise ConfigurationError("tensor_parallel must be >= 1")
-        if max_epoch_steps < 1 or arrival_probe_steps < 1:
-            raise ConfigurationError("max_epoch_steps and arrival_probe_steps must be >= 1")
         self.system = system
         self.model = model
         self.tensor_parallel = tensor_parallel
@@ -325,9 +292,6 @@ class ServingSimulator:
         self.scheduler_config = scheduler_config or SchedulerConfig()
         self.slo = slo or ServingSLO()
         self.include_lm_head = include_lm_head
-        self.fused = fused
-        self.max_epoch_steps = max_epoch_steps
-        self.arrival_probe_steps = arrival_probe_steps
 
     def engine(self) -> ReplicaEngine:
         """A fresh resumable event loop with this simulator's configuration."""

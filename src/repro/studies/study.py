@@ -650,10 +650,6 @@ def _decode_fleet(spec: Mapping[str, object]) -> FleetConfig:
         scheduler=SchedulerConfig(**dict(spec.get("scheduler", {}))),
         slo=ServingSLO(**dict(spec.get("slo", {}))),
         include_lm_head=bool(spec.get("include_lm_head", True)),
-        max_epoch_steps=int(spec.get("max_epoch_steps", FleetConfig.__dataclass_fields__["max_epoch_steps"].default)),
-        arrival_probe_steps=int(
-            spec.get("arrival_probe_steps", FleetConfig.__dataclass_fields__["arrival_probe_steps"].default)
-        ),
         faults=FaultConfig(**dict(faults_spec)) if isinstance(faults_spec, AbcMapping) else None,
         retry=RetryPolicy(**dict(retry_spec)) if isinstance(retry_spec, AbcMapping) else RetryPolicy(),
         autoscaler=decode_autoscaler(dict(scaler_spec)) if isinstance(scaler_spec, AbcMapping) else None,

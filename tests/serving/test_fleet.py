@@ -18,6 +18,7 @@ from repro.serving import (
     TraceConfig,
     get_router,
 )
+from repro.serving import simulator as simulator_module
 
 SYSTEM = build_system("A100", num_devices=8, intra_node="NVLink3", inter_node="HDR-IB")
 MODEL = get_model("Llama2-7B")
@@ -204,16 +205,14 @@ def test_fleet_accepts_explicit_request_list_and_scheduler_config():
 def test_fleet_config_validation():
     with pytest.raises(ConfigurationError):
         FleetConfig(trace=small_trace(), num_replicas=0)
-    with pytest.raises(ConfigurationError):
-        FleetConfig(trace=small_trace(), max_epoch_steps=0)
 
 
-def test_epoch_parameters_do_not_change_results():
-    # max_epoch_steps / arrival_probe_steps only regroup the fused epochs;
-    # any values must produce bit-identical fleet reports.
+def test_epoch_parameters_do_not_change_results(monkeypatch):
+    # The epoch and probe caps only regroup the fused epochs; any values
+    # must produce bit-identical fleet reports.
     trace = small_trace()
     base = fleet_sim(FleetConfig(trace=trace, num_replicas=2)).run()
-    regrouped = fleet_sim(
-        FleetConfig(trace=trace, num_replicas=2, max_epoch_steps=3, arrival_probe_steps=2)
-    ).run()
+    monkeypatch.setattr(simulator_module, "_MAX_EPOCH_STEPS", 3)
+    monkeypatch.setattr(simulator_module, "_ARRIVAL_PROBE_STEPS", 2)
+    regrouped = fleet_sim(FleetConfig(trace=trace, num_replicas=2)).run()
     assert base.to_dict() == regrouped.to_dict()

@@ -1,15 +1,17 @@
 """Property tests: the epoch-fused serving loop is bit-identical to stepwise.
 
-The fused simulator prices whole decode epochs in one vectorized call and
+The simulator prices whole decode epochs in one vectorized call and
 assigns timestamps from sequential cumulative sums; these tests assert that
 every field of the resulting :class:`ServingReport` -- including every
-``per_request`` timestamp -- equals the ``fused=False`` per-step reference
-**exactly** (``to_dict`` equality, no tolerances) across randomized traces:
-Poisson and bursty arrivals, mixed length distributions, and small KV
-budgets that force rejections and multi-epoch admission churn.
+``per_request`` timestamp -- equals the per-token reference in
+``tests/serving_oracle.py``, which prices every prefill and decode step one
+operator at a time, **exactly** (``to_dict`` equality, no tolerances) across
+randomized traces: Poisson and bursty arrivals, mixed length distributions,
+and small KV budgets that force rejections and multi-epoch admission churn.
 """
 
 import pytest
+from serving_oracle import StepwiseSimulator
 
 from repro.hardware.cluster import build_system
 from repro.memmodel.footprint import model_weight_bytes
@@ -40,20 +42,11 @@ def tight_memory_scheduler(kv_gigabytes: float, **kwargs) -> SchedulerConfig:
 
 
 def assert_fused_matches_stepwise(workload, scheduler_config=None, tensor_parallel=1):
-    fused = ServingSimulator(
-        system=SYSTEM,
-        model=MODEL,
-        tensor_parallel=tensor_parallel,
-        scheduler_config=scheduler_config,
-        fused=True,
-    ).run(workload)
-    stepwise = ServingSimulator(
-        system=SYSTEM,
-        model=MODEL,
-        tensor_parallel=tensor_parallel,
-        scheduler_config=scheduler_config,
-        fused=False,
-    ).run(workload)
+    kwargs = dict(
+        system=SYSTEM, model=MODEL, tensor_parallel=tensor_parallel, scheduler_config=scheduler_config
+    )
+    fused = ServingSimulator(**kwargs).run(workload)
+    stepwise = StepwiseSimulator(**kwargs).run(workload)
     assert fused.to_dict() == stepwise.to_dict()
     return fused
 
@@ -155,7 +148,7 @@ def test_shared_step_cost_model_between_paths():
     )
     shared = StepCostModel(system=SYSTEM)
     kwargs = dict(system=SYSTEM, model=MODEL, step_cost=shared)
-    first = ServingSimulator(fused=True, **kwargs).run(trace)
-    second = ServingSimulator(fused=False, **kwargs).run(trace)
-    third = ServingSimulator(fused=True, **kwargs).run(trace)
+    first = ServingSimulator(**kwargs).run(trace)
+    second = StepwiseSimulator(**kwargs).run(trace)
+    third = ServingSimulator(**kwargs).run(trace)
     assert first.to_dict() == second.to_dict() == third.to_dict()

@@ -211,6 +211,16 @@ def test_fleet_config_spec_round_trip():
     assert table["router"][0] == "least_queue"
 
 
+def test_fleet_spec_with_retired_epoch_fields_still_loads():
+    # Specs written while FleetConfig still had max_epoch_steps /
+    # arrival_probe_steps carry those keys; the decoder ignores them.
+    fleet = FleetConfig(trace=TraceConfig(rate=2.0, num_requests=4), num_replicas=2)
+    study = Study(name="old-fleet", kind="fleet", fixed={"system": "A100", "model": "Llama2-7B", "fleet": fleet})
+    spec = study.to_dict()
+    spec["fixed"]["fleet"].update(max_epoch_steps=16, arrival_probe_steps=4)
+    assert next(Study.from_dict(spec).scenarios()).fleet_config == fleet
+
+
 def test_fleet_load_frontier_study_runs():
     study = get_study(
         "fleet_load_frontier",

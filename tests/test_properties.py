@@ -1,11 +1,13 @@
 """Property-based tests (hypothesis) for the core analytical invariants
-and the fleet serving simulator."""
+and the serving and fleet simulators."""
 
 from __future__ import annotations
 
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from serving_oracle import StepwiseSimulator
 
 from repro.comm.collectives import ring_all_reduce_time, tree_all_reduce_time
 from repro.core.stepcost import StepCostModel
@@ -333,3 +335,41 @@ def test_event_loop_round_robin_equals_partitioned_round_robin(seed, rate, repli
     partitioned = _fleet(config).run()
     event_loop = _fleet(config, router=_EventLoopRoundRobin()).run()
     assert event_loop.to_dict() == partitioned.to_dict()
+
+
+# -- serving simulator properties ----------------------------------------------------------
+
+PROMPT_LENGTHS = [
+    LengthDistribution.constant(64),
+    LengthDistribution.uniform(16, 512),
+    LengthDistribution.lognormal(median=200, sigma=1.0, maximum=2000),
+]
+OUTPUT_LENGTHS = [
+    LengthDistribution.constant(16),
+    LengthDistribution.uniform(1, 48),
+    LengthDistribution.lognormal(median=12, sigma=0.8, maximum=64),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=fleet_seeds,
+    rate=fleet_rates,
+    num_requests=st.integers(min_value=1, max_value=16),
+    prompts=st.sampled_from(PROMPT_LENGTHS),
+    outputs=st.sampled_from(OUTPUT_LENGTHS),
+    max_batch_size=st.integers(min_value=1, max_value=16),
+    tight_memory=st.booleans(),
+)
+def test_serving_simulator_equals_per_token_reference(
+    seed, rate, num_requests, prompts, outputs, max_batch_size, tight_memory
+):
+    trace = TraceConfig(
+        rate=rate, num_requests=num_requests, prompt_lengths=prompts, output_lengths=outputs, seed=seed
+    )
+    memory = TIGHT_SCHEDULER if tight_memory else SchedulerConfig()
+    scheduler = dataclasses.replace(memory, max_batch_size=max_batch_size)
+    kwargs = dict(system=FLEET_SYSTEM, model=FLEET_MODEL, step_cost=FLEET_STEP_COST, scheduler_config=scheduler)
+    report = ServingSimulator(**kwargs).run(trace)
+    assert report.to_dict() == StepwiseSimulator(**kwargs).run(trace).to_dict()
+    assert report.completed_requests + report.rejected_requests == num_requests
